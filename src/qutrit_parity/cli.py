@@ -12,6 +12,7 @@ import argparse
 import configparser
 import dataclasses
 import json
+import math
 import os
 import sys
 import tempfile
@@ -21,10 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import compiler, spectro, spin
-from .core import DensityMatrix
 from .permutations import (
     CauchyParseError,
-    Parity,
     PermutationMap,
     name_of,
     parity_by_counting,
@@ -34,25 +33,39 @@ from .permutations import (
 
 ENV_OUTPUT_DIR = "QUTRIT_PARITY_OUTPUT_DIR"
 
+
+def _field(default, section: str, *, flag: str | None = None,
+           choices: tuple | None = None, help: str = ""):
+    """A config field with its INI section. Its command-line flag is
+    --name-with-dashes unless `flag` names another spelling."""
+    return dataclasses.field(default=default, metadata={
+        "section": section, "flag": flag, "choices": choices, "help": help})
+
+
 #: defaults mirror the reference experiment: Lambda/2pi = 156 Hz,
 #: T1 = 170 ms, T2 = 50 ms, 30-degree detection
 @dataclass
 class RunConfig:
-    mode: str = "pulse"
-    permutation: str = "f1"
-    lambda_q_hz: float = 156.0
-    t1_s: float = 0.170
-    t2_s: float = 0.050
-    detection_flip_deg: float = 30.0
-    n: int = 4096
-    dwell_s: float = 1.0 / 4000.0
-    pulse_angle_sigma_deg: float = 0.0
-    seed: int = 0
-    output_dir: str = "."
+    mode: str = _field("pulse", "run", choices=("gate", "pulse"))
+    permutation: str = _field("f1", "run", help="name f1..f6 or Cauchy text")
+    lambda_q_hz: float = _field(156.0, "run")
+    t1_s: float = _field(0.170, "run")
+    t2_s: float = _field(0.050, "run")
+    detection_flip_deg: float = _field(30.0, "run")
+    n: int = _field(4096, "acquisition")
+    dwell_s: float = _field(1.0 / 4000.0, "acquisition")
+    pulse_angle_sigma_deg: float = _field(0.0, "noise", flag="--noise-sigma-deg")
+    seed: int = _field(0, "noise")
+    output_dir: str = _field(".", "run")
 
     def validate(self):
-        if self.mode not in ("gate", "pulse"):
-            raise ConfigError(f"mode must be 'gate' or 'pulse', got {self.mode!r}")
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            choices = f.metadata["choices"]
+            if choices and value not in choices:
+                raise ConfigError(f"{f.name} must be one of {choices}, got {value!r}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         for name in ("lambda_q_hz", "t1_s", "t2_s", "detection_flip_deg",
                      "dwell_s"):
             if getattr(self, name) <= 0:
@@ -76,32 +89,29 @@ class ConfigError(ValueError):
     pass
 
 
-_SECTION_FIELDS = {
-    "run": ("mode", "permutation", "lambda_q_hz", "t1_s", "t2_s",
-            "detection_flip_deg", "output_dir"),
-    "acquisition": ("n", "dwell_s"),
-    "noise": ("pulse_angle_sigma_deg", "seed"),
-}
-
-
 def load_config(path: str) -> RunConfig:
-    parser = configparser.ConfigParser()
-    if not parser.read(path):
-        raise ConfigError(f"cannot read config file {path!r}")
+    fields = {f.name: f for f in dataclasses.fields(RunConfig)}
+    sections = {f.metadata["section"] for f in fields.values()}
     cfg = RunConfig()
-    for section, fields in _SECTION_FIELDS.items():
-        if not parser.has_section(section):
-            continue
-        for key in parser[section]:
-            if key not in fields:
-                raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            current = getattr(cfg, key)
-            raw = parser[section][key]
-            try:
-                value = type(current)(raw) if not isinstance(current, str) else raw
-            except ValueError:
-                raise ConfigError(f"bad value {raw!r} for {key}") from None
-            setattr(cfg, key, value)
+    # "" can never be a section header, so "[DEFAULT]" is an ordinary (and
+    # unknown) section rather than keys merged into every other section
+    parser = configparser.ConfigParser(default_section="")
+    try:
+        if not parser.read(path):
+            raise ConfigError(f"cannot read config file {path!r}")
+        for section in parser.sections():
+            if section not in sections:
+                raise ConfigError(f"unknown section [{section}]")
+            for key, raw in parser[section].items():
+                f = fields.get(key)
+                if f is None or f.metadata["section"] != section:
+                    raise ConfigError(f"unknown key {key!r} in section [{section}]")
+                try:
+                    setattr(cfg, key, type(f.default)(raw))
+                except ValueError:
+                    raise ConfigError(f"bad value {raw!r} for {key}") from None
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed config file {path!r}: {exc}") from None
     return cfg
 
 
@@ -120,7 +130,8 @@ def _atomic_write(path: str, text: str):
 
 
 def _write_json(path: str, obj):
-    _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True,
+                                   allow_nan=False) + "\n")
 
 
 def _oracle_gate_name(p: PermutationMap) -> str:
@@ -259,12 +270,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(sub):
     sub.add_argument("--config", help="INI config file")
-    sub.add_argument("--mode", choices=["gate", "pulse"])
-    sub.add_argument("--permutation", help="name f1..f6 or Cauchy text")
-    sub.add_argument("--lambda-q-hz", type=float, dest="lambda_q_hz")
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--noise-sigma-deg", type=float, dest="pulse_angle_sigma_deg")
-    sub.add_argument("--output-dir", dest="output_dir")
+    for f in dataclasses.fields(RunConfig):
+        meta = f.metadata
+        where = f"INI [{meta['section']}] {f.name}"
+        sub.add_argument(meta["flag"] or "--" + f.name.replace("_", "-"),
+                         dest=f.name, type=type(f.default), choices=meta["choices"],
+                         help=f"{meta['help']}; {where}" if meta["help"] else where)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -288,14 +299,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
-    for key in ("mode", "permutation", "lambda_q_hz", "seed",
-                "pulse_angle_sigma_deg"):
-        value = getattr(args, key, None)
+    for f in dataclasses.fields(RunConfig):
+        value = getattr(args, f.name)
         if value is not None:
-            setattr(cfg, key, value)
-    if getattr(args, "output_dir", None) is not None:
-        cfg.output_dir = args.output_dir
-    elif cfg.output_dir == "." and ENV_OUTPUT_DIR in os.environ:
+            setattr(cfg, f.name, value)
+    if args.output_dir is None and cfg.output_dir == "." and ENV_OUTPUT_DIR in os.environ:
         cfg.output_dir = os.environ[ENV_OUTPUT_DIR]
     cfg.validate()
     return cfg
@@ -316,7 +324,7 @@ def main(argv=None) -> int:
             return cmd_sweep(cfg, args.repeat)
         raise ConfigError(f"unknown command {args.command!r}")
     except (ConfigError, CauchyParseError, compiler.UnknownGateError,
-            ValueError) as exc:
+            ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

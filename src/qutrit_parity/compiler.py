@@ -11,20 +11,21 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
 
 from .core import DEFAULT_TOL, DIM, Operator3, Tolerance
-from .permutations import _PRINTED_UNITARIES, fourier
+from .permutations import NAMED_MAPS, fourier, unitary_of
 from .spin import (
-    Delay,
     GradientEvent,
     HamiltonianParams,
     Pulse,
     VirtualZ,
     event_propagator,
+    program_to_records,
+    record_to_event,
 )
 
 #: 109.47 degrees, stored exactly as the arccos rather than the decimal
@@ -32,41 +33,22 @@ MAGIC_FLIP_DEG = math.degrees(math.acos(-1.0 / 3.0))
 
 _F3 = fourier(3)
 
-GATE_TARGETS = {
-    "I": np.eye(3, dtype=complex),
-    "F": _F3,
-    "Finv": _F3.conj().T,
-    "S12": _PRINTED_UNITARIES["f4"].astype(complex),
-    "S23": _PRINTED_UNITARIES["f5"].astype(complex),
-    "S13": _PRINTED_UNITARIES["f6"].astype(complex),
-    **{f"U{k}": _PRINTED_UNITARIES[f"f{k}"].astype(complex) for k in range(1, 7)},
-}
-
-GATE_NAMES = tuple(GATE_TARGETS)
-
 
 class UnknownGateError(ValueError):
     pass
 
 
 @dataclass(frozen=True)
-class GateSpec:
+class CompiledSequence:
     name: str
     target: np.ndarray
-
-
-@dataclass(frozen=True)
-class CompiledSequence:
-    gate: GateSpec
     events: tuple
     fidelity: float
     phase_exact: bool
 
     def to_record(self) -> dict:
-        from .spin import program_to_records
-
         return {
-            "gate": self.gate.name,
+            "gate": self.name,
             "events": program_to_records(self.events),
             "fidelity": self.fidelity,
             "phase_exact": self.phase_exact,
@@ -120,10 +102,11 @@ def _phases_to_virtualz(phases: np.ndarray) -> list:
 
 
 def _swap_events(transition: str) -> list:
-    """180-degree selective pulse plus the +90/+90 sub-block phase fix."""
-    lo = 1 if transition == "transition12" else 2
+    """180-degree selective pulse on transition "12" or "23" plus the +90/+90
+    sub-block phase fix."""
+    lo = int(transition[0])
     return [
-        Pulse(transition, 180.0, 0.0, duration_s=4e-3),
+        Pulse(f"transition{transition}", 180.0, 0.0, duration_s=4e-3),
         VirtualZ(lo, 90.0),
         VirtualZ(lo + 1, 90.0),
     ]
@@ -157,35 +140,37 @@ def invert_events(events) -> list:
     return out
 
 
-def _gate_events(name: str) -> list:
-    if name in ("I", "U1"):
-        return []
-    if name in ("S12", "U4"):
-        return _swap_events("transition12")
-    if name in ("S23", "U5"):
-        return _swap_events("transition23")
-    if name in ("S13", "U6"):
-        return (_swap_events("transition12") + _swap_events("transition23")
-                + _swap_events("transition12"))
-    if name == "U2":  # S12 then S23 in time
-        return _swap_events("transition12") + _swap_events("transition23")
-    if name == "U3":  # S23 then S12 in time
-        return _swap_events("transition23") + _swap_events("transition12")
-    if name == "F":
-        return _fourier_events()
-    if name == "Finv":
-        return invert_events(_fourier_events())
-    raise UnknownGateError(f"unknown gate {name!r}; known: {', '.join(GATE_NAMES)}")
+def _oracle(k: int, *swaps: str):
+    """U_k, the printed matrix of f_k, as corrected swaps in time order."""
+    return (unitary_of(NAMED_MAPS[f"f{k}"]).entries,
+            lambda: [e for t in swaps for e in _swap_events(t)])
+
+
+#: The gate table: name -> (target unitary, builder of its pulse events).
+#: Aliases, added below, share the entry of the oracle they name.
+_GATES = {
+    "F": (_F3, _fourier_events),
+    "Finv": (_F3.conj().T, lambda: invert_events(_fourier_events())),
+    "U1": _oracle(1),
+    "U2": _oracle(2, "12", "23"),
+    "U3": _oracle(3, "23", "12"),
+    "U4": _oracle(4, "12"),
+    "U5": _oracle(5, "23"),
+    "U6": _oracle(6, "12", "23", "12"),
+}
+_GATES.update(I=_GATES["U1"], S12=_GATES["U4"], S23=_GATES["U5"], S13=_GATES["U6"])
+
+GATE_TARGETS = {name: target for name, (target, _) in _GATES.items()}
+GATE_NAMES = tuple(_GATES)
 
 
 def compile_gate(name: str) -> CompiledSequence:
-    if name not in GATE_TARGETS:
+    if name not in _GATES:
         raise UnknownGateError(f"unknown gate {name!r}; known: {', '.join(GATE_NAMES)}")
-    target = GATE_TARGETS[name]
-    events = tuple(_gate_events(name))
+    target, build = _GATES[name]
+    events = tuple(build())
     fid = fidelity(target, sequence_propagator(events).entries)
-    return CompiledSequence(GateSpec(name, target), events, fid,
-                            phase_exact=fid >= 1.0 - 1e-9)
+    return CompiledSequence(name, target, events, fid, phase_exact=fid >= 1.0 - 1e-9)
 
 
 @dataclass(frozen=True)
@@ -198,7 +183,7 @@ class VerificationReport:
 def verify(seq: CompiledSequence, tol: Tolerance = DEFAULT_TOL) -> VerificationReport:
     """Recompute the achieved propagator and its distance to the target."""
     achieved = sequence_propagator(seq.events).entries
-    target = seq.gate.target
+    target = seq.target
     fid = fidelity(target, achieved)
     tr = np.trace(np.asarray(target).conj().T @ achieved)
     aligned = achieved * np.exp(-1j * np.angle(tr)) if abs(tr) > 0 else achieved
@@ -231,8 +216,6 @@ class SequenceTemplate:
     params: tuple
 
     def bind(self, values) -> list:
-        from .spin import record_to_event
-
         lookup = dict(zip((p.name for p in self.params), values, strict=True))
 
         def resolve(v, *, flip=False):
@@ -303,5 +286,5 @@ def optimize_sequence(template: SequenceTemplate, target: np.ndarray,
 
     events = tuple(template.bind(best_x))
     fid = 1.0 - best_val
-    return CompiledSequence(GateSpec("optimized", np.asarray(target, dtype=complex)),
+    return CompiledSequence("optimized", np.asarray(target, dtype=complex),
                             events, fid, phase_exact=fid >= 1.0 - 1e-9)

@@ -24,6 +24,7 @@ from .core import (
     Operator3,
     QutritState,
     Tolerance,
+    equal_up_to_global_phase,
     state_to_row,
 )
 
@@ -101,11 +102,14 @@ _PRINTED_UNITARIES = {
 }
 
 
+#: every bijection of the three labels is a named map
+_BY_IMAGES = {p.images: p for p in NAMED_MAPS.values()}
+
+_UNITARIES = {name: Operator3(u, unitary=True) for name, u in _PRINTED_UNITARIES.items()}
+
+
 def name_of(p: PermutationMap) -> str:
-    for name, q in NAMED_MAPS.items():
-        if q.images == p.images:
-            return name
-    raise ValueError(f"unrecognized permutation {p.images}")  # unreachable for d=3
+    return _BY_IMAGES[p.images].name
 
 
 def parse_cauchy(text: str) -> PermutationMap:
@@ -149,11 +153,7 @@ def parse_cauchy(text: str) -> PermutationMap:
             seen.add(label)
 
     mapping = {t: b for (t, _), (b, _) in zip(top, bottom)}
-    p = PermutationMap(tuple(mapping[x] for x in LABELS))
-    try:
-        return NAMED_MAPS[name_of(p)]
-    except ValueError:
-        return p
+    return _BY_IMAGES[tuple(mapping[x] for x in LABELS)]
 
 
 def resolve(spec: str) -> PermutationMap:
@@ -178,7 +178,7 @@ def parity_by_counting(p: PermutationMap) -> Parity:
 
 def unitary_of(p: PermutationMap) -> Operator3:
     """The printed permutation matrix Uk for the map fk."""
-    return Operator3(_PRINTED_UNITARIES[name_of(p)], unitary=True)
+    return _UNITARIES[name_of(p)]
 
 
 def compose(p: PermutationMap, q: PermutationMap) -> PermutationMap:
@@ -188,9 +188,7 @@ def compose(p: PermutationMap, q: PermutationMap) -> PermutationMap:
     column-as-input convention, the matrix of a composition is the reversed
     product: unitary_of(compose(p, q)) = unitary_of(q) @ unitary_of(p).
     """
-    images = tuple(p(q(x)) for x in LABELS)
-    r = PermutationMap(images)
-    return NAMED_MAPS[name_of(r)]
+    return _BY_IMAGES[tuple(p(q(x)) for x in LABELS)]
 
 
 def fourier(d: int) -> np.ndarray:
@@ -267,18 +265,17 @@ def run_parity_algorithm(p: PermutationMap,
 
     verdict = classify_final_state(final, tol)
     reference = QutritState.ket(-1 if verdict is Parity.EVEN else 0)
-    _, phase = _global_phase(reference, final, tol)
+    phase = _global_phase(reference, final, tol)
     return AlgorithmTrace(initial, post_fourier, post_oracle, final,
                           verdict, phase, calls)
 
 
-def _global_phase(reference: QutritState, final: QutritState, tol: Tolerance):
-    from .core import equal_up_to_global_phase
-
+def _global_phase(reference: QutritState, final: QutritState,
+                  tol: Tolerance) -> float:
     same, phase = equal_up_to_global_phase(reference, final, tol)
     if not same:
         raise UnclassifiableStateError(
             abs(final.overlap(QutritState.ket(-1))) ** 2,
             abs(final.overlap(QutritState.ket(0))) ** 2,
         )
-    return same, phase
+    return phase

@@ -8,7 +8,6 @@ convention, so only the pattern is meaningful.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np

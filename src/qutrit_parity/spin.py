@@ -9,7 +9,7 @@ a pulse program -- T2 enters only when the FID is synthesized (spectro).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
@@ -28,17 +28,6 @@ TARGETS = ("transition12", "transition23", "nonselective")
 
 #: carrier frequency bookkeeping value, rad/s (deuterium at 91.108 MHz)
 OMEGA0_DEFAULT = 2 * math.pi * 91.108e6
-
-
-@dataclass(frozen=True)
-class SpinOperators:
-    ix: np.ndarray = field(default_factory=lambda: IX.copy())
-    iy: np.ndarray = field(default_factory=lambda: IY.copy())
-    iz: np.ndarray = field(default_factory=lambda: IZ.copy())
-    isq: np.ndarray = field(default_factory=lambda: ISQ.copy())
-
-
-SPIN1 = SpinOperators()
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,13 @@
+import dataclasses
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qutrit_parity
 from qutrit_parity.cli import ENV_OUTPUT_DIR, ConfigError, RunConfig, load_config, main
 
 
@@ -155,3 +160,78 @@ class TestConfig:
         monkeypatch.chdir(tmp_path)
         assert main(["run", "--mode", "gate", "--permutation", "f1"]) == 0
         assert (tmp_path / "trace.json").exists()
+
+
+class TestInputContract:
+    @pytest.mark.parametrize("ini", [
+        "[acquisition]\ndwell_s = nan\n",
+        "[noise]\npulse_angle_sigma_deg = nan\n",
+        "[run]\nt1_s = inf\n",
+    ], ids=["dwell_s-nan", "sigma-nan", "t1_s-inf"])
+    def test_non_finite_value_exit_1(self, tmp_path, capsys, ini):
+        path = tmp_path / "cfg.ini"
+        path.write_text(ini)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--output-dir", str(out)]) == 1
+        assert "finite" in capsys.readouterr().err
+        assert not (out / "run_record.json").exists()
+
+    def test_unknown_section_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "cfg.ini"
+        path.write_text("[acqusition]\nn = 65536\n")
+        assert main(["run", "--config", str(path), "--output-dir",
+                     str(tmp_path)]) == 1
+        assert "[acqusition]" in capsys.readouterr().err
+        assert not (tmp_path / "run_record.json").exists()
+
+    def test_unwritable_output_dir_exit_1_without_traceback(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(qutrit_parity.__file__).parent.parent),
+             os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "qutrit_parity.cli", "compile", "F",
+             "--output-dir", str(blocker / "sub")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1
+        assert "error:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+#: a non-default value and the command-line flag of every RunConfig field
+FIELD_SETTINGS = {
+    "mode": ("--mode", "gate"),
+    "permutation": ("--permutation", "f4"),
+    "lambda_q_hz": ("--lambda-q-hz", 200.0),
+    "t1_s": ("--t1-s", 0.2),
+    "t2_s": ("--t2-s", 0.04),
+    "detection_flip_deg": ("--detection-flip-deg", 45.0),
+    "n": ("--n", 2048),
+    "dwell_s": ("--dwell-s", 0.0005),
+    "pulse_angle_sigma_deg": ("--noise-sigma-deg", 2.0),
+    "seed": ("--seed", 7),
+    "output_dir": ("--output-dir", None),  # the test's own directory
+}
+
+
+@pytest.mark.parametrize("field", dataclasses.fields(RunConfig), ids=lambda f: f.name)
+def test_flag_and_ini_set_the_same_field(tmp_path, field):
+    out = tmp_path / "out"
+    flag, value = FIELD_SETTINGS[field.name]
+    value = str(out) if value is None else value
+    assert value != field.default
+    path = tmp_path / "cfg.ini"
+    path.write_text(f"[{field.metadata['section']}]\n{field.name} = {value}\n")
+    # gate mode is the quickest run; no base flag may override the INI value
+    base = {"--mode": "gate", "--output-dir": str(out)}
+    base.pop(flag, None)
+    argv = ["run", *(arg for pair in base.items() for arg in pair)]
+    snapshots = []
+    for extra in ([flag, str(value)], ["--config", str(path)]):
+        assert main(argv + extra) == 0
+        record = out / "run_record.json"
+        snapshots.append(json.loads(read(record))["config"])
+        record.unlink()  # the next run must write its own
+    assert snapshots[0] == snapshots[1]
+    assert snapshots[0][field.name] == value

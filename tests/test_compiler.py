@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -214,3 +216,13 @@ class TestEndToEndTheorem:
             # deviation = I/2 - (3/2)|psi><psi| => |psi_j|^2 = (1/2 - pop_j)/(3/2)
             probs = (0.5 - rho.populations()) / 1.5
             assert np.max(np.abs(probs - trace.final.probabilities())) < 1e-8, name
+
+
+def test_compiled_gates_match_recorded_fixture():
+    """Every gate compiles to exactly its pinned records (pulses, virtual-z
+    corrections, fidelity), so the gate table cannot drift."""
+    path = Path(__file__).parent / "data" / "compiled_gates.json"
+    expected = json.loads(path.read_text())
+    assert sorted(expected) == sorted(GATE_NAMES)
+    for name in GATE_NAMES:
+        assert compile_gate(name).to_record() == expected[name], name
