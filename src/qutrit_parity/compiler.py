@@ -9,14 +9,14 @@ corrections are solved in closed form at compile time.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .core import DEFAULT_TOL, DIM, Operator3, Tolerance
+from .core import DEFAULT_TOL, DIM, Operator3, Tolerance, _frozen
 from .permutations import NAMED_MAPS, fourier, unitary_of
 from .spin import (
     GradientEvent,
@@ -31,7 +31,7 @@ from .spin import (
 #: 109.47 degrees, stored exactly as the arccos rather than the decimal
 MAGIC_FLIP_DEG = math.degrees(math.acos(-1.0 / 3.0))
 
-_F3 = fourier(3)
+_F3 = _frozen(fourier(3))
 
 
 class UnknownGateError(ValueError):
@@ -146,11 +146,11 @@ def _oracle(k: int, *swaps: str):
             lambda: [e for t in swaps for e in _swap_events(t)])
 
 
-#: The gate table: name -> (target unitary, builder of its pulse events).
-#: Aliases, added below, share the entry of the oracle they name.
+#: The gate table: name -> (read-only target unitary, builder of its pulse
+#: events). Aliases, added below, share the entry of the oracle they name.
 _GATES = {
     "F": (_F3, _fourier_events),
-    "Finv": (_F3.conj().T, lambda: invert_events(_fourier_events())),
+    "Finv": (_frozen(_F3.conj().T), lambda: invert_events(_fourier_events())),
     "U1": _oracle(1),
     "U2": _oracle(2, "12", "23"),
     "U3": _oracle(3, "23", "12"),
@@ -164,7 +164,10 @@ GATE_TARGETS = {name: target for name, (target, _) in _GATES.items()}
 GATE_NAMES = tuple(_GATES)
 
 
+@functools.cache
 def compile_gate(name: str) -> CompiledSequence:
+    """The gate's pulse sequence, built once per name: every later call
+    returns the same CompiledSequence, whose target is read-only."""
     if name not in _GATES:
         raise UnknownGateError(f"unknown gate {name!r}; known: {', '.join(GATE_NAMES)}")
     target, build = _GATES[name]
@@ -250,6 +253,10 @@ def optimize_sequence(template: SequenceTemplate, target: np.ndarray,
     restarts at the incumbent until the budget runs out or the objective
     reaches 1e-12 of optimal.
     """
+    # imported here: scipy.optimize costs every CLI process ~0.15 s, and
+    # nothing else in the package needs it
+    from scipy.optimize import minimize
+
     k = len(template.params)
     if k < 1:
         raise ValueError("template has no free parameters")

@@ -8,11 +8,12 @@ convention, so only the pattern is meaningful.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityMatrix
+from .core import DensityMatrix, _frozen
 from .permutations import Parity
 from .spin import (
     GradientEvent,
@@ -120,10 +121,18 @@ def synthesize_fid(rho: DensityMatrix, p: HamiltonianParams, r: RelaxationParams
         )
     c12 = complex(rho.entries[1, 0])
     c23 = complex(rho.entries[2, 1])
+    tone12, tone23, decay = _tones(nu12, nu23, r.t2, n, dwell)
+    # scalar first: numpy rounds c * arr and arr * c differently for complex
+    return FID((c12 * tone12 + c23 * tone23) * decay, dwell)
+
+
+@functools.lru_cache(maxsize=4)
+def _tones(nu12: float, nu23: float, t2: float, n: int, dwell: float):
+    """Read-only exp(2 pi i nu12 t), exp(2 pi i nu23 t) and exp(-t/T2)."""
     t = np.arange(n) * dwell
-    signal = (c12 * np.exp(2j * np.pi * nu12 * t)
-              + c23 * np.exp(2j * np.pi * nu23 * t)) * np.exp(-t / r.t2)
-    return FID(signal, dwell)
+    return (_frozen(np.exp(2j * np.pi * nu12 * t)),
+            _frozen(np.exp(2j * np.pi * nu23 * t)),
+            _frozen(np.exp(-t / t2)))
 
 
 def transform(fid: FID) -> Spectrum:
@@ -134,12 +143,17 @@ def transform(fid: FID) -> Spectrum:
     1/(pi T2).
     """
     n = len(fid.samples)
-    amps = np.fft.fftshift(np.fft.fft(fid.samples))
-    freqs = np.fft.fftshift(np.fft.fftfreq(n, fid.dwell))
-    amps = np.roll(amps, -1)
-    freqs = np.roll(freqs, -1)
+    # one roll: fftshift's n/2, then one bin down for the Nyquist alias
+    amps = np.roll(np.fft.fft(fid.samples), n // 2 - 1)
+    return Spectrum(_frequency_axis(n, fid.dwell), amps)
+
+
+@functools.lru_cache(maxsize=4)
+def _frequency_axis(n: int, dwell: float) -> np.ndarray:
+    """Read-only ascending axis of transform, in Hz."""
+    freqs = np.roll(np.fft.fftshift(np.fft.fftfreq(n, dwell)), -1)
     freqs[-1] = -freqs[-1]  # -Nyquist bin aliased to +Nyquist
-    return Spectrum(freqs, amps)
+    return _frozen(freqs)
 
 
 def pick_peaks(s: Spectrum, threshold: float = DEFAULT_PEAK_THRESHOLD) -> list:
@@ -157,10 +171,10 @@ def pick_peaks(s: Spectrum, threshold: float = DEFAULT_PEAK_THRESHOLD) -> list:
         raise EmptySpectrumError("spectrum has no signal")
     floor = threshold * top
     dnu = s.bin_width
+    inner = mag[1:-1]
+    hits = np.flatnonzero((inner >= floor) & (inner >= mag[:-2]) & (inner > mag[2:])) + 1
     peaks = []
-    for i in range(1, len(mag) - 1):
-        if mag[i] < floor or mag[i] < mag[i - 1] or mag[i] <= mag[i + 1]:
-            continue
+    for i in hits.tolist():
         alpha, beta, gamma = mag[i - 1], mag[i], mag[i + 1]
         denom = alpha - 2.0 * beta + gamma
         shift = 0.5 * (alpha - gamma) / denom if denom != 0.0 else 0.0
@@ -215,7 +229,9 @@ def classify_spectrum(peaks, p: HamiltonianParams) -> ReadoutResult:
 def spectrum_to_text(s: Spectrum) -> str:
     """One row per bin: frequency_hz, real, imag, magnitude."""
     lines = ["# frequency_hz real imag magnitude"]
-    for f, a in zip(s.frequencies, s.amplitudes):
+    # Python floats and complexes: a numpy scalar's repr is "np.float64(...)",
+    # and np.abs may differ from abs() in the last digit
+    for f, a in zip(s.frequencies.tolist(), s.amplitudes.tolist()):
         lines.append(f"{f!r} {a.real!r} {a.imag!r} {abs(a)!r}")
     return "\n".join(lines) + "\n"
 
@@ -223,6 +239,6 @@ def spectrum_to_text(s: Spectrum) -> str:
 def fid_to_text(fid: FID) -> str:
     """One row per sample: time_s, real, imag."""
     lines = ["# time_s real imag"]
-    for k, z in enumerate(fid.samples):
+    for k, z in enumerate(fid.samples.tolist()):
         lines.append(f"{k * fid.dwell!r} {z.real!r} {z.imag!r}")
     return "\n".join(lines) + "\n"

@@ -8,6 +8,7 @@ a pulse program -- T2 enters only when the FID is synthesized (spectro).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -140,6 +141,11 @@ def transition_frequencies(p: HamiltonianParams) -> tuple[float, float]:
 def pulse_propagator(pl: Pulse) -> Operator3:
     """Selective: exp(-i flip/2 (cos phi X_pq + sin phi Y_pq)) on one
     sub-block; non-selective: exp(-i flip (cos phi Ix + sin phi Iy))."""
+    return Operator3(_pulse_matrix(pl), unitary=True)
+
+
+def _pulse_matrix(pl: Pulse) -> np.ndarray:
+    """The matrix of pulse_propagator, without its unitarity check."""
     theta = math.radians(pl.flip_deg)
     phi = math.radians(pl.phase_deg)
     if pl.target == "nonselective":
@@ -153,7 +159,7 @@ def pulse_propagator(pl: Pulse) -> Operator3:
         y[p, q] = -1j
         y[q, p] = 1j
         u = expm(-1j * (theta / 2.0) * (math.cos(phi) * x + math.sin(phi) * y))
-    return Operator3(u, unitary=True)
+    return u
 
 
 def delay_propagator(p: HamiltonianParams, t: float) -> Operator3:
@@ -164,6 +170,9 @@ def delay_propagator(p: HamiltonianParams, t: float) -> Operator3:
     return Operator3(np.diag(phases), unitary=True)
 
 
+#: bounded, because a template optimization binds a fresh angle per step;
+#: the compiled gates use a dozen distinct VirtualZ events
+@functools.lru_cache(maxsize=64)
 def virtualz_propagator(vz: VirtualZ) -> Operator3:
     phases = np.ones(3, dtype=complex)
     phases[vz.level - 1] = np.exp(1j * math.radians(vz.angle_deg))
@@ -197,15 +206,20 @@ def thermal_deviation() -> DensityMatrix:
 def run_pulse_program(rho0: DensityMatrix, events,
                       params: HamiltonianParams | None = None,
                       tol: Tolerance = DEFAULT_TOL) -> DensityMatrix:
-    """Apply events left to right in time order."""
-    rho = rho0
+    """Apply events left to right in time order.
+
+    The events act on plain arrays; the result is checked once, as a
+    DensityMatrix of rho0's kind within `tol`.
+    """
+    rho = rho0.entries
     for event in events:
         if isinstance(event, GradientEvent):
-            rho = apply_gradient(rho, event)
+            rho = np.diag(np.diag(rho))
         else:
-            u = event_propagator(event, params).entries
-            rho = DensityMatrix(u @ rho.entries @ u.conj().T, rho.kind, tol=tol)
-    return rho
+            u = (_pulse_matrix(event) if isinstance(event, Pulse)
+                 else event_propagator(event, params).entries)
+            rho = u @ rho @ u.conj().T
+    return DensityMatrix(rho, rho0.kind, tol=tol)
 
 
 def pseudopure_prep_events() -> list:

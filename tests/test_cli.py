@@ -235,3 +235,32 @@ def test_flag_and_ini_set_the_same_field(tmp_path, field):
         record.unlink()  # the next run must write its own
     assert snapshots[0] == snapshots[1]
     assert snapshots[0][field.name] == value
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def test_noisy_sweep_matches_recorded_fixture(tmp_path):
+    """sweep.tsv of a seeded noisy sweep, pinned byte for byte."""
+    assert main(["sweep", "--noise-sigma-deg", "5", "--repeat", "20", "--seed", "1",
+                 "--output-dir", str(tmp_path)]) == 2  # 100 of 120 runs classified
+    assert read(tmp_path / "sweep.tsv") == read(DATA / "sweep_sigma5_seed1.tsv")
+
+
+def test_commands_do_not_import_scipy_optimize(tmp_path):
+    script = (
+        "import sys\n"
+        "from qutrit_parity.cli import main\n"
+        f"main(['run', '--output-dir', {str(tmp_path / 'run')!r}])\n"
+        f"main(['sweep', '--output-dir', {str(tmp_path / 'sweep')!r}])\n"
+        f"main(['compile', 'F', '--output-dir', {str(tmp_path / 'compile')!r}])\n"
+        "assert 'scipy.optimize' not in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(qutrit_parity.__file__).parent.parent),
+         os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    for name in ("run/run_record.json", "sweep/sweep.tsv", "compile/F_sequence.json"):
+        assert (tmp_path / name).is_file(), name

@@ -226,3 +226,11 @@ def test_compiled_gates_match_recorded_fixture():
     assert sorted(expected) == sorted(GATE_NAMES)
     for name in GATE_NAMES:
         assert compile_gate(name).to_record() == expected[name], name
+
+
+@pytest.mark.parametrize("name", GATE_NAMES)
+def test_compile_gate_memoized_and_read_only(name):
+    seq = compile_gate(name)
+    assert compile_gate(name) is seq
+    with pytest.raises(ValueError):
+        seq.target[0, 0] = 0.0

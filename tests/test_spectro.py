@@ -5,6 +5,7 @@ from qutrit_parity.core import DensityMatrix
 from qutrit_parity.permutations import Parity
 from qutrit_parity.spectro import (
     FID,
+    _tones,
     EmptySpectrumError,
     Peak,
     UnclassifiableSpectrumError,
@@ -16,7 +17,7 @@ from qutrit_parity.spectro import (
     synthesize_fid,
     transform,
 )
-from qutrit_parity.spin import HamiltonianParams, RelaxationParams
+from qutrit_parity.spin import HamiltonianParams, RelaxationParams, transition_frequencies
 
 PARAMS = HamiltonianParams(lambda_q=2 * np.pi * 156.0)
 RELAX = RelaxationParams(0.170, 0.050)
@@ -199,3 +200,33 @@ class TestExports:
             FID(np.zeros(3, complex), 1e-3)
         with pytest.raises(ValueError):
             FID(np.zeros(64, complex), 0.0)
+
+
+class TestCachedArrays:
+    def test_tones_read_only(self):
+        fid = synthesize_fid(single_coherence(), PARAMS, RELAX, n=64)
+        for tone in _tones(*transition_frequencies(PARAMS), RELAX.t2, 64, fid.dwell):
+            with pytest.raises(ValueError):
+                tone[0] = 0.0
+        fid.samples[0] = 0.0  # each FID owns its samples
+
+    def test_frequency_axis_shared_and_read_only(self):
+        fid = synthesize_fid(single_coherence(), PARAMS, RELAX, n=64)
+        a, b = transform(fid), transform(fid)
+        assert a.frequencies is b.frequencies
+        with pytest.raises(ValueError):
+            a.frequencies[0] = 0.0
+
+
+def test_text_exports_read_back_exactly(tmp_path):
+    fid = synthesize_fid(single_coherence(c23=0.3 - 0.7j, c12=0.2j), PARAMS, RELAX, n=256)
+    s = transform(fid)
+    (tmp_path / "fid.txt").write_text(fid_to_text(fid))
+    (tmp_path / "spectrum.txt").write_text(spectrum_to_text(s))
+    t, re, im = np.loadtxt(tmp_path / "fid.txt", unpack=True)
+    assert np.array_equal(t, np.arange(256) * fid.dwell)
+    assert np.array_equal(re + 1j * im, fid.samples)
+    f, re, im, mag = np.loadtxt(tmp_path / "spectrum.txt", unpack=True)
+    assert np.array_equal(f, s.frequencies)
+    assert np.array_equal(re + 1j * im, s.amplitudes)
+    assert mag.tolist() == [abs(z) for z in s.amplitudes.tolist()]

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qutrit_parity.core import DensityMatrix
+from qutrit_parity.core import DensityMatrix, Tolerance
 from qutrit_parity.spin import (
     IX,
     IY,
@@ -27,6 +27,7 @@ from qutrit_parity.spin import (
     run_pulse_program,
     thermal_deviation,
     transition_frequencies,
+    virtualz_propagator,
 )
 
 LAMBDA_156 = HamiltonianParams(lambda_q=2 * np.pi * 156.0)
@@ -267,3 +268,53 @@ class TestEventPropagator:
     def test_virtualz_diagonal(self):
         u = event_propagator(VirtualZ(2, 90.0)).entries
         assert np.allclose(u, np.diag([1, 1j, 1]), atol=1e-14)
+
+
+def reference_run(rho0, events, params=None):
+    """run_pulse_program as a loop that validates every step: a DensityMatrix
+    and an Operator3 per event."""
+    rho = rho0
+    for event in events:
+        if isinstance(event, GradientEvent):
+            rho = apply_gradient(rho, event)
+        else:
+            u = event_propagator(event, params).entries
+            rho = DensityMatrix(u @ rho.entries @ u.conj().T, rho.kind)
+    return rho
+
+
+def random_event(rng):
+    kind = rng.integers(0, 4)
+    if kind == 0:
+        return Pulse(("transition12", "transition23", "nonselective")[rng.integers(0, 3)],
+                     float(rng.uniform(1, 360)), float(rng.uniform(0, 360)))
+    if kind == 1:
+        return Delay(float(rng.uniform(0, 5e-3)))
+    if kind == 2:
+        return VirtualZ(int(rng.integers(1, 4)), float(rng.uniform(0, 360)))
+    return GradientEvent()
+
+
+class TestRunPulseProgramContract:
+    def test_bit_identical_to_validating_loop(self):
+        rng = np.random.default_rng(2014)
+        for _ in range(200):
+            events = [random_event(rng) for _ in range(rng.integers(1, 25))]
+            got = run_pulse_program(thermal_deviation(), events, LAMBDA_156)
+            want = reference_run(thermal_deviation(), events, LAMBDA_156)
+            assert got.kind == want.kind == "deviation"
+            assert got.entries.tobytes() == want.entries.tobytes(), events
+
+    def test_result_validated_with_callers_tol(self):
+        skew = np.diag([1.0, 0.0, -1.0]).astype(complex)
+        skew[0, 1] = 1e-3  # not Hermitian at the default tolerance
+        loose = Tolerance(entrywise_abs=1e-2)
+        rho0 = DensityMatrix(skew, "deviation", tol=loose)
+        program = [Pulse("transition23", 90.0, 0.0)]
+        with pytest.raises(ValueError, match="not Hermitian"):
+            run_pulse_program(rho0, program)
+        assert run_pulse_program(rho0, program, tol=loose).kind == "deviation"
+
+    def test_virtualz_propagator_memoized(self):
+        vz = VirtualZ(3, 45.0)
+        assert virtualz_propagator(vz) is virtualz_propagator(VirtualZ(3, 45.0))
