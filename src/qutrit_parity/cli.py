@@ -72,8 +72,18 @@ class RunConfig:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if self.n < 2 or self.n & (self.n - 1):
             raise ConfigError(f"n must be a power of two >= 2, got {self.n}")
-        if self.pulse_angle_sigma_deg < 0:
-            raise ConfigError("pulse_angle_sigma_deg must be >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        for name in ("detection_flip_deg", "pulse_angle_sigma_deg"):  # a turn at most
+            if not 0.0 <= getattr(self, name) <= 360.0:
+                raise ConfigError(f"{name} = {getattr(self, name)} is outside [0, 360]")
+        if not self.t2_s <= 2.0 * self.t1_s:
+            raise ConfigError(f"need t2_s <= 2 * t1_s, got {self.t2_s} > 2 * {self.t1_s}")
+        # the lines at +-3 lambda_q_hz, in the arithmetic of transition_frequencies
+        nu = 3.0 * (2.0 * math.pi * self.lambda_q_hz) / (2.0 * math.pi)
+        if not nu < 1.0 / (2.0 * self.dwell_s):
+            raise ConfigError(f"lines at +-{nu:g} Hz lie outside the spectral window "
+                              f"+-1/(2 dwell_s) = +-{1.0 / (2.0 * self.dwell_s):g} Hz")
 
     def hamiltonian(self) -> spin.HamiltonianParams:
         return spin.HamiltonianParams(lambda_q=2.0 * np.pi * self.lambda_q_hz)
@@ -134,14 +144,10 @@ def _write_json(path: str, obj):
                                    allow_nan=False) + "\n")
 
 
-def _oracle_gate_name(p: PermutationMap) -> str:
-    return "U" + name_of(p)[1]
-
-
 def build_pulse_program(p: PermutationMap) -> list:
     """Pseudopure prep, compiled F, compiled oracle, compiled F inverse."""
     events = list(spin.pseudopure_prep_events())
-    for gate in ("F", _oracle_gate_name(p), "Finv"):
+    for gate in ("F", "U" + name_of(p)[1], "Finv"):
         events.extend(compiler.compile_gate(gate).events)
     return events
 
@@ -206,8 +212,7 @@ def cmd_run(cfg: RunConfig) -> int:
         record["pulse_program"] = spin.program_to_records(program)
         record["readout"] = readout.to_record()
         record["verdict"] = readout.verdict.value
-        _write_json(os.path.join(out, "pulse_program.json"),
-                    spin.program_to_records(program))
+        _write_json(os.path.join(out, "pulse_program.json"), record["pulse_program"])
         _atomic_write(os.path.join(out, "fid.txt"), spectro.fid_to_text(fid))
         _atomic_write(os.path.join(out, "spectrum.txt"),
                       spectro.spectrum_to_text(spectrum))
@@ -324,7 +329,7 @@ def main(argv=None) -> int:
             return cmd_sweep(cfg, args.repeat)
         raise ConfigError(f"unknown command {args.command!r}")
     except (ConfigError, CauchyParseError, compiler.UnknownGateError,
-            ValueError, OSError) as exc:
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -57,7 +57,7 @@ class QutritState:
     def __init__(self, amplitudes, *, norm_tol: float = 1e-12):
         a = np.asarray(amplitudes, dtype=complex).reshape(DIM)
         norm_sq = float(np.sum(np.abs(a) ** 2))
-        if abs(norm_sq - 1.0) > norm_tol:
+        if not abs(norm_sq - 1.0) <= norm_tol:
             raise NormalizationError(
                 f"amplitudes have squared norm {norm_sq!r}, expected 1"
             )
@@ -94,11 +94,11 @@ class Operator3:
         m = np.asarray(entries, dtype=complex).reshape(DIM, DIM)
         if unitary:
             dev = float(np.max(np.abs(m @ m.conj().T - np.eye(DIM))))
-            if dev > tol.entrywise_abs:
+            if not dev <= tol.entrywise_abs:
                 raise NonUnitaryError("matrix is not unitary", dev)
         if hermitian:
             dev = float(np.max(np.abs(m - m.conj().T)))
-            if dev > tol.entrywise_abs:
+            if not dev <= tol.entrywise_abs:
                 raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
         self.entries = _frozen(m.copy())
 
@@ -108,11 +108,6 @@ class Operator3:
 
     def dagger(self) -> "Operator3":
         return Operator3(self.entries.conj().T)
-
-    def __matmul__(self, other):
-        if isinstance(other, Operator3):
-            return Operator3(self.entries @ other.entries)
-        return NotImplemented
 
     def __repr__(self):
         return f"Operator3({self.entries.tolist()})"
@@ -135,16 +130,16 @@ class DensityMatrix:
             raise ValueError(f"kind must be one of {self.KINDS}, got {kind!r}")
         m = np.asarray(entries, dtype=complex).reshape(DIM, DIM)
         dev = float(np.max(np.abs(m - m.conj().T)))
-        if dev > tol.entrywise_abs:
+        if not dev <= tol.entrywise_abs:
             raise ValueError(f"density matrix is not Hermitian (max deviation {dev:.3e})")
         tr = complex(np.trace(m))
         if kind == "true-state":
-            if abs(tr - 1.0) > tol.entrywise_abs:
+            if not abs(tr - 1.0) <= tol.entrywise_abs:
                 raise ValueError(f"true-state trace is {tr!r}, expected 1")
             if np.min(np.linalg.eigvalsh(0.5 * (m + m.conj().T))) < -tol.entrywise_abs:
                 raise ValueError("true-state has a negative eigenvalue")
         else:
-            if abs(tr) > tol.entrywise_abs:
+            if not abs(tr) <= tol.entrywise_abs:
                 raise ValueError(f"deviation trace is {tr!r}, expected 0")
         self.entries = _frozen(m.copy())
         self.kind = kind
@@ -165,7 +160,7 @@ def dagger(m: Operator3 | np.ndarray) -> Operator3 | np.ndarray:
 
 def _check_unitary(u: np.ndarray, tol: Tolerance):
     dev = float(np.max(np.abs(u @ u.conj().T - np.eye(DIM))))
-    if dev > tol.entrywise_abs:
+    if not dev <= tol.entrywise_abs:
         raise NonUnitaryError("apply_unitary requires a unitary operator", dev)
 
 

@@ -16,11 +16,9 @@ import numpy as np
 from .core import DensityMatrix, _frozen
 from .permutations import Parity
 from .spin import (
-    GradientEvent,
     HamiltonianParams,
     Pulse,
     RelaxationParams,
-    apply_gradient,
     pulse_propagator,
     transition_frequencies,
 )
@@ -94,12 +92,12 @@ class ReadoutResult:
 
 def detect(rho: DensityMatrix, flip_deg: float = 30.0) -> DensityMatrix:
     """Clean-up gradient g2 followed by a non-selective pulse about +y."""
-    rho = apply_gradient(rho, GradientEvent("g2"))
-    if flip_deg == 0.0:
-        return rho
-    u = pulse_propagator(
-        Pulse("nonselective", flip_deg, 90.0, duration_s=0.5e-3)).entries
-    return DensityMatrix(u @ rho.entries @ u.conj().T, rho.kind)
+    m = np.diag(np.diag(rho.entries))  # the g2 crusher, as in apply_gradient
+    if flip_deg != 0.0:
+        u = pulse_propagator(
+            Pulse("nonselective", flip_deg, 90.0, duration_s=0.5e-3)).entries
+        m = u @ m @ u.conj().T
+    return DensityMatrix(m, rho.kind)
 
 
 def synthesize_fid(rho: DensityMatrix, p: HamiltonianParams, r: RelaxationParams,

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .core import DEFAULT_TOL, DensityMatrix, Operator3, Tolerance
 
@@ -145,20 +144,23 @@ def pulse_propagator(pl: Pulse) -> Operator3:
 
 
 def _pulse_matrix(pl: Pulse) -> np.ndarray:
-    """The matrix of pulse_propagator, without its unitarity check."""
-    theta = math.radians(pl.flip_deg)
-    phi = math.radians(pl.phase_deg)
+    """The matrix of pulse_propagator, without its unitarity check, in closed
+    form: the SU(2) rotation of one sub-block, or the j = 1 Wigner rotation
+    1 - i sin(flip) G + (cos(flip) - 1) G^2, as G^3 = G for spin 1."""
+    theta, phi = math.radians(pl.flip_deg), math.radians(pl.phase_deg)
+    cphi, sphi = math.cos(phi), math.sin(phi)
     if pl.target == "nonselective":
-        gen = math.cos(phi) * IX + math.sin(phi) * IY
-        u = expm(-1j * theta * gen)
-    else:
-        p, q = TRANSITIONS[pl.target]
-        x = np.zeros((3, 3), dtype=complex)
-        x[p, q] = x[q, p] = 1.0
-        y = np.zeros((3, 3), dtype=complex)
-        y[p, q] = -1j
-        y[q, p] = 1j
-        u = expm(-1j * (theta / 2.0) * (math.cos(phi) * x + math.sin(phi) * y))
+        ct, a = math.cos(theta), math.sin(theta) / _SQRT2
+        up, down = complex(-a * sphi, -a * cphi), complex(a * sphi, -a * cphi)
+        corner = (ct - 1.0) / 2.0 * complex(cphi * cphi - sphi * sphi, -2.0 * cphi * sphi)
+        return np.array([[(1.0 + ct) / 2.0, up, corner], [down, ct, up],
+                         [corner.conjugate(), down, (1.0 + ct) / 2.0]])
+    s, c = math.sin(theta / 2.0), math.cos(theta / 2.0)
+    p, q = TRANSITIONS[pl.target]
+    u = np.eye(3, dtype=complex)
+    u[p, p] = u[q, q] = c
+    # -i sin(flip/2) e^{-+i phi} above and below the diagonal
+    u[p, q], u[q, p] = complex(-s * sphi, -s * cphi), complex(s * sphi, -s * cphi)
     return u
 
 

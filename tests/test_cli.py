@@ -16,6 +16,13 @@ def read(path):
         return fh.read()
 
 
+def _package_env():
+    """The environment of a child process that imports this package."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(qutrit_parity.__file__).parent.parent),
+         os.environ.get("PYTHONPATH", "")]))
+
+
 class TestRunGateMode:
     def test_f4_odd_with_phase(self, tmp_path, capsys):
         assert main(["run", "--mode", "gate", "--permutation", "f4",
@@ -198,6 +205,24 @@ class TestInputContract:
         assert "error:" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("argv", [
+        ["--t2-s", "1", "--t1-s", "0.1"],  # T2 > 2 T1
+        ["--lambda-q-hz", "700"],  # lines at +-2100 Hz, window +-2000 Hz
+        ["--detection-flip-deg", "400"],
+        ["--noise-sigma-deg", "1e308"],  # its draws would overflow to NaN flips
+        ["--seed", "-1"],
+    ], ids=["t2-above-2t1", "lines-outside-window", "flip-above-360",
+            "sigma-above-360", "negative-seed"])
+    def test_physical_config_error_exit_1_without_traceback(self, tmp_path, argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "qutrit_parity.cli", "run", *argv,
+             "--output-dir", str(tmp_path)],
+            capture_output=True, text=True, env=_package_env(), timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "run_record.json").exists()
+
 
 #: a non-default value and the command-line flag of every RunConfig field
 FIELD_SETTINGS = {
@@ -263,4 +288,24 @@ def test_commands_do_not_import_scipy_optimize(tmp_path):
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     for name in ("run/run_record.json", "sweep/sweep.tsv", "compile/F_sequence.json"):
+        assert (tmp_path / name).is_file(), name
+
+
+def test_commands_do_not_import_scipy(tmp_path):
+    """numpy is the only third-party import of run, sweep and compile."""
+    script = (
+        "import sys\n"
+        "from qutrit_parity.cli import main\n"
+        f"main(['run', '--mode', 'pulse', '--output-dir', {str(tmp_path / 'pulse')!r}])\n"
+        f"main(['run', '--mode', 'gate', '--output-dir', {str(tmp_path / 'gate')!r}])\n"
+        f"main(['sweep', '--output-dir', {str(tmp_path / 'sweep')!r}])\n"
+        f"main(['compile', 'F', '--output-dir', {str(tmp_path / 'compile')!r}])\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=_package_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    for name in ("pulse/run_record.json", "gate/trace.json", "sweep/sweep.tsv",
+                 "compile/F_sequence.json"):
         assert (tmp_path / name).is_file(), name

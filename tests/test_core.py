@@ -164,6 +164,31 @@ class TestDensityMatrix:
             DensityMatrix(m, "deviation")
 
 
+class TestNaNRejected:
+    """Every check is written "not dev <= tol", so NaN fails it."""
+
+    NAN = np.full((3, 3), np.nan)
+
+    def test_density_matrix(self):
+        for kind in DensityMatrix.KINDS:
+            with pytest.raises(ValueError, match="not Hermitian"):
+                DensityMatrix(self.NAN, kind)
+
+    def test_operator_unitary_and_hermitian(self):
+        with pytest.raises(NonUnitaryError):
+            Operator3(self.NAN, unitary=True)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            Operator3(self.NAN, hermitian=True)
+
+    def test_apply_unitary(self):
+        with pytest.raises(NonUnitaryError):
+            apply_unitary(QutritState.ket(1), self.NAN)
+
+    def test_state_norm(self):
+        with pytest.raises(NormalizationError):
+            QutritState([np.nan, 0.0, 0.0])
+
+
 class TestTolerance:
     def test_positive_required(self):
         with pytest.raises(ValueError):

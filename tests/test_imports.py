@@ -1,5 +1,5 @@
-"""Every import in the package modules is used: the project runs no linter,
-so this scan is the check."""
+"""Every import in the package modules is used, and scipy is imported only
+inside functions: the project runs no linter, so these scans are the check."""
 
 import ast
 from pathlib import Path
@@ -33,3 +33,38 @@ def test_scanner_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def import_time_modules(source: str) -> list:
+    """Modules imported when the module itself is imported: everywhere but
+    inside a function body (a class body runs at import, so it counts)."""
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if isinstance(child, ast.Import):
+                found.extend(alias.name for alias in child.names)
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                found.append(child.module)
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+def test_scanner_skips_imports_inside_functions():
+    source = ("import numpy as np\n"
+              "try:\n    from scipy.linalg import expm\nexcept ImportError:\n    pass\n"
+              "class C:\n    import scipy.special\n"
+              "def f():\n    from scipy.optimize import minimize\n")
+    assert import_time_modules(source) == ["numpy", "scipy.linalg", "scipy.special"]
+
+
+@pytest.mark.parametrize("path", MODULES + [Path(qutrit_parity.__file__)],
+                         ids=lambda p: p.name)
+def test_scipy_imported_only_inside_functions(path):
+    """The CLI commands need only numpy; scipy is for optimize_sequence."""
+    assert [m for m in import_time_modules(path.read_text())
+            if m.split(".")[0] == "scipy"] == []
