@@ -36,7 +36,7 @@ class Tolerance:
     phase_equivalence: float = 1e-9
 
     def __post_init__(self):
-        if self.entrywise_abs <= 0 or self.phase_equivalence <= 0:
+        if not (self.entrywise_abs > 0 and self.phase_equivalence > 0):
             raise ValueError("tolerances must be strictly positive")
 
 
@@ -47,6 +47,29 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.flags.writeable = False
     return a
+
+
+def check_unitary(u: np.ndarray, tol: Tolerance = DEFAULT_TOL):
+    """Raise NonUnitaryError unless each matrix of u (..., 3, 3) is unitary."""
+    dev = float(np.max(np.abs(u @ u.conj().mT - np.eye(DIM))))
+    if not dev <= tol.entrywise_abs:
+        raise NonUnitaryError("matrix is not unitary", dev)
+
+
+def check_density(m: np.ndarray, kind: str, tol: Tolerance = DEFAULT_TOL):
+    """Raise ValueError unless each matrix of m (..., 3, 3) is a DensityMatrix
+    of `kind`; a wrong trace is reported as the worst one."""
+    dev = float(np.max(np.abs(m - m.conj().mT)))
+    if not dev <= tol.entrywise_abs:
+        raise ValueError(f"density matrix is not Hermitian (max deviation {dev:.3e})")
+    want = 1.0 if kind == "true-state" else 0.0
+    tr = np.trace(m, axis1=-2, axis2=-1).reshape(-1)
+    worst = complex(tr[np.argmax(np.abs(tr - want))])
+    if not abs(worst - want) <= tol.entrywise_abs:
+        raise ValueError(f"{kind} trace is {worst!r}, expected {want:g}")
+    if kind == "true-state" and np.min(
+            np.linalg.eigvalsh(0.5 * (m + m.conj().mT))) < -tol.entrywise_abs:
+        raise ValueError("true-state has a negative eigenvalue")
 
 
 class QutritState:
@@ -77,9 +100,6 @@ class QutritState:
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 
-    def projector(self) -> np.ndarray:
-        return np.outer(self.amplitudes, self.amplitudes.conj())
-
     def __repr__(self):
         return f"QutritState({self.amplitudes.tolist()})"
 
@@ -93,9 +113,7 @@ class Operator3:
                  tol: Tolerance = DEFAULT_TOL):
         m = np.asarray(entries, dtype=complex).reshape(DIM, DIM)
         if unitary:
-            dev = float(np.max(np.abs(m @ m.conj().T - np.eye(DIM))))
-            if not dev <= tol.entrywise_abs:
-                raise NonUnitaryError("matrix is not unitary", dev)
+            check_unitary(m, tol)
         if hermitian:
             dev = float(np.max(np.abs(m - m.conj().T)))
             if not dev <= tol.entrywise_abs:
@@ -129,18 +147,7 @@ class DensityMatrix:
         if kind not in self.KINDS:
             raise ValueError(f"kind must be one of {self.KINDS}, got {kind!r}")
         m = np.asarray(entries, dtype=complex).reshape(DIM, DIM)
-        dev = float(np.max(np.abs(m - m.conj().T)))
-        if not dev <= tol.entrywise_abs:
-            raise ValueError(f"density matrix is not Hermitian (max deviation {dev:.3e})")
-        tr = complex(np.trace(m))
-        if kind == "true-state":
-            if not abs(tr - 1.0) <= tol.entrywise_abs:
-                raise ValueError(f"true-state trace is {tr!r}, expected 1")
-            if np.min(np.linalg.eigvalsh(0.5 * (m + m.conj().T))) < -tol.entrywise_abs:
-                raise ValueError("true-state has a negative eigenvalue")
-        else:
-            if not abs(tr) <= tol.entrywise_abs:
-                raise ValueError(f"deviation trace is {tr!r}, expected 0")
+        check_density(m, kind, tol)
         self.entries = _frozen(m.copy())
         self.kind = kind
 
@@ -158,17 +165,11 @@ def dagger(m: Operator3 | np.ndarray) -> Operator3 | np.ndarray:
     return np.asarray(m).conj().T
 
 
-def _check_unitary(u: np.ndarray, tol: Tolerance):
-    dev = float(np.max(np.abs(u @ u.conj().T - np.eye(DIM))))
-    if not dev <= tol.entrywise_abs:
-        raise NonUnitaryError("apply_unitary requires a unitary operator", dev)
-
-
 def apply_unitary(state, u: Operator3 | np.ndarray,
                   tol: Tolerance = DEFAULT_TOL):
     """u|psi> for a pure state, u rho u^dagger for a density matrix."""
     um = u.entries if isinstance(u, Operator3) else np.asarray(u, dtype=complex)
-    _check_unitary(um, tol)
+    check_unitary(um, tol)
     if isinstance(state, QutritState):
         return QutritState(um @ state.amplitudes)
     if isinstance(state, DensityMatrix):

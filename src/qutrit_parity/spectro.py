@@ -16,6 +16,7 @@ import numpy as np
 from .core import DensityMatrix, _frozen
 from .permutations import Parity
 from .spin import (
+    GradientEvent,
     HamiltonianParams,
     Pulse,
     RelaxationParams,
@@ -33,7 +34,7 @@ DEFAULT_PEAK_THRESHOLD = 0.1
 
 
 class EmptySpectrumError(ValueError):
-    pass
+    line12 = line23 = 0.0  # no signal, so no line
 
 
 class UnclassifiableSpectrumError(ValueError):
@@ -90,19 +91,23 @@ class ReadoutResult:
                 "line23": self.line23, "confidence": self.confidence}
 
 
-def detect(rho: DensityMatrix, flip_deg: float = 30.0) -> DensityMatrix:
+def detection_events(flip_deg: float = 30.0) -> list:
     """Clean-up gradient g2 followed by a non-selective pulse about +y."""
+    return [GradientEvent("g2"), Pulse("nonselective", flip_deg, 90.0, duration_s=0.5e-3)]
+
+
+def detect(rho: DensityMatrix, flip_deg: float = 30.0) -> DensityMatrix:
+    """detection_events on one density matrix; a 0-degree flip is no pulse."""
     m = np.diag(np.diag(rho.entries))  # the g2 crusher, as in apply_gradient
     if flip_deg != 0.0:
-        u = pulse_propagator(
-            Pulse("nonselective", flip_deg, 90.0, duration_s=0.5e-3)).entries
+        u = pulse_propagator(detection_events(flip_deg)[1]).entries
         m = u @ m @ u.conj().T
     return DensityMatrix(m, rho.kind)
 
 
-def synthesize_fid(rho: DensityMatrix, p: HamiltonianParams, r: RelaxationParams,
+def synthesize_fid(rho, p: HamiltonianParams, r: RelaxationParams,
                    n: int = DEFAULT_POINTS, dwell: float = DEFAULT_DWELL) -> FID:
-    """Two damped tones from the single-quantum coherences of rho.
+    """Two damped tones from the single-quantum coherences of rho (or its entries).
 
     Coherence pickup is lower-triangular: c12 = rho[2,1] and c23 = rho[3,2]
     in 1-based level indices, both transitions weighted equally.
@@ -117,8 +122,8 @@ def synthesize_fid(rho: DensityMatrix, p: HamiltonianParams, r: RelaxationParams
             f"spectral window +-{nyquist:g} Hz too narrow for the "
             f"+-{needed:g} Hz transitions; need bandwidth > {2 * needed:g} Hz"
         )
-    c12 = complex(rho.entries[1, 0])
-    c23 = complex(rho.entries[2, 1])
+    m = rho.entries if isinstance(rho, DensityMatrix) else rho
+    c12, c23 = complex(m[1, 0]), complex(m[2, 1])
     tone12, tone23, decay = _tones(nu12, nu23, r.t2, n, dwell)
     # scalar first: numpy rounds c * arr and arr * c differently for complex
     return FID((c12 * tone12 + c23 * tone23) * decay, dwell)

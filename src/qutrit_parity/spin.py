@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import DEFAULT_TOL, DensityMatrix, Operator3, Tolerance
+from .core import (DEFAULT_TOL, DensityMatrix, Operator3, Tolerance, check_density,
+                   check_unitary)
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -140,27 +141,35 @@ def transition_frequencies(p: HamiltonianParams) -> tuple[float, float]:
 def pulse_propagator(pl: Pulse) -> Operator3:
     """Selective: exp(-i flip/2 (cos phi X_pq + sin phi Y_pq)) on one
     sub-block; non-selective: exp(-i flip (cos phi Ix + sin phi Iy))."""
-    return Operator3(_pulse_matrix(pl), unitary=True)
+    return Operator3(_pulse_matrices(pl.target, [pl.flip_deg], pl.phase_deg)[0],
+                     unitary=True)
 
 
-def _pulse_matrix(pl: Pulse) -> np.ndarray:
-    """The matrix of pulse_propagator, without its unitarity check, in closed
-    form: the SU(2) rotation of one sub-block, or the j = 1 Wigner rotation
-    1 - i sin(flip) G + (cos(flip) - 1) G^2, as G^3 = G for spin 1."""
-    theta, phi = math.radians(pl.flip_deg), math.radians(pl.phase_deg)
+def _pulse_matrices(target: str, flips_deg, phase_deg: float) -> np.ndarray:
+    """pulse_propagator's matrix for each flip angle, (R, 3, 3), unchecked, in
+    closed form: the SU(2) rotation of one sub-block, or the j = 1 Wigner
+    rotation 1 - i sin(flip) G + (cos(flip) - 1) G^2, as G^3 = G for spin 1."""
+    theta, phi = np.radians(flips_deg), math.radians(phase_deg)
     cphi, sphi = math.cos(phi), math.sin(phi)
-    if pl.target == "nonselective":
-        ct, a = math.cos(theta), math.sin(theta) / _SQRT2
-        up, down = complex(-a * sphi, -a * cphi), complex(a * sphi, -a * cphi)
-        corner = (ct - 1.0) / 2.0 * complex(cphi * cphi - sphi * sphi, -2.0 * cphi * sphi)
-        return np.array([[(1.0 + ct) / 2.0, up, corner], [down, ct, up],
-                         [corner.conjugate(), down, (1.0 + ct) / 2.0]])
-    s, c = math.sin(theta / 2.0), math.cos(theta / 2.0)
-    p, q = TRANSITIONS[pl.target]
-    u = np.eye(3, dtype=complex)
-    u[p, p] = u[q, q] = c
-    # -i sin(flip/2) e^{-+i phi} above and below the diagonal
-    u[p, q], u[q, p] = complex(-s * sphi, -s * cphi), complex(s * sphi, -s * cphi)
+    u = np.zeros((len(theta), 3, 3), dtype=complex)
+    re, im = u.real, u.imag  # entries set part by part, as complex(re, im)
+    if target == "nonselective":
+        ct, a = np.cos(theta), np.sin(theta) / _SQRT2
+        re[:, 0, 0] = re[:, 2, 2] = (1.0 + ct) / 2.0
+        re[:, 1, 1] = ct
+        re[:, 0, 1] = re[:, 1, 2] = -a * sphi  # above the diagonal; below it:
+        re[:, 1, 0] = re[:, 2, 1] = a * sphi
+        im[:, 0, 1] = im[:, 1, 2] = im[:, 1, 0] = im[:, 2, 1] = -a * cphi
+        twice = complex(cphi * cphi - sphi * sphi, -2.0 * cphi * sphi)  # e^{-2i phi}
+        u[:, 0, 2] = (ct - 1.0) / 2.0 * twice
+        u[:, 2, 0] = u[:, 0, 2].conj()
+        return u
+    s, c = np.sin(theta / 2.0), np.cos(theta / 2.0)
+    p, q = TRANSITIONS[target]
+    re[:, p, p] = re[:, q, q] = c
+    re[:, 3 - p - q, 3 - p - q] = 1.0  # the level the pulse leaves alone
+    re[:, p, q], im[:, p, q] = -s * sphi, -s * cphi  # -i sin(flip/2) e^{-i phi}
+    re[:, q, p], im[:, q, p] = s * sphi, -s * cphi  # and e^{+i phi} below the diagonal
     return u
 
 
@@ -205,23 +214,49 @@ def thermal_deviation() -> DensityMatrix:
     return DensityMatrix(IZ.copy(), "deviation")
 
 
+def pulse_flips(events) -> np.ndarray:
+    """The flip angles of the pulses among events, in time order."""
+    return np.array([e.flip_deg for e in events if isinstance(e, Pulse)], dtype=float)
+
+
+def with_flips(events, flips) -> list:
+    """events with their pulses turned by flips instead, in time order."""
+    it = iter(np.asarray(flips).tolist())
+    return [replace(e, flip_deg=next(it)) if isinstance(e, Pulse) else e for e in events]
+
+
+def run_pulse_batch(rho0: DensityMatrix, events, flips,
+                    params: HamiltonianParams | None = None,
+                    tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Apply events in time order to R copies of rho0 at once, row r turning the
+    k-th pulse by flips[r, k] degrees. Each pulse propagator is checked unitary,
+    and at exit the (R, 3, 3) rows as DensityMatrix entries of rho0's kind."""
+    events, flips = list(events), np.asarray(flips, dtype=float)
+    if flips.ndim != 2 or flips.shape[1] != len(pulse_flips(events)):
+        raise ValueError(f"need (R, K) flips for the K pulses, got {flips.shape}")
+    rho = np.tile(rho0.entries, (len(flips), 1, 1))
+    pulses = iter(flips.T)
+    for event in events:
+        if isinstance(event, GradientEvent):
+            rho = np.where(np.eye(3, dtype=bool), rho, 0.0)
+            continue
+        if isinstance(event, Pulse):
+            u = _pulse_matrices(event.target, next(pulses), event.phase_deg)
+            check_unitary(u, tol)
+        else:
+            u = event_propagator(event, params).entries
+        rho = u @ rho @ u.conj().mT
+    check_density(rho, rho0.kind, tol)
+    return rho
+
+
 def run_pulse_program(rho0: DensityMatrix, events,
                       params: HamiltonianParams | None = None,
                       tol: Tolerance = DEFAULT_TOL) -> DensityMatrix:
-    """Apply events left to right in time order.
-
-    The events act on plain arrays; the result is checked once, as a
-    DensityMatrix of rho0's kind within `tol`.
-    """
-    rho = rho0.entries
-    for event in events:
-        if isinstance(event, GradientEvent):
-            rho = np.diag(np.diag(rho))
-        else:
-            u = (_pulse_matrix(event) if isinstance(event, Pulse)
-                 else event_propagator(event, params).entries)
-            rho = u @ rho @ u.conj().T
-    return DensityMatrix(rho, rho0.kind, tol=tol)
+    """run_pulse_batch on one row, with the events' own flip angles."""
+    events = list(events)
+    rho = run_pulse_batch(rho0, events, [pulse_flips(events)], params, tol)
+    return DensityMatrix(rho[0], rho0.kind, tol=tol)
 
 
 def pseudopure_prep_events() -> list:

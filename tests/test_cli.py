@@ -5,9 +5,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qutrit_parity
+from qutrit_parity import cli, spectro, spin
 from qutrit_parity.cli import ENV_OUTPUT_DIR, ConfigError, RunConfig, load_config, main
 
 
@@ -211,8 +213,9 @@ class TestInputContract:
         ["--detection-flip-deg", "400"],
         ["--noise-sigma-deg", "1e308"],  # its draws would overflow to NaN flips
         ["--seed", "-1"],
+        ["--n", str(2**50)],  # its FID would not fit in memory
     ], ids=["t2-above-2t1", "lines-outside-window", "flip-above-360",
-            "sigma-above-360", "negative-seed"])
+            "sigma-above-360", "negative-seed", "n-above-2**20"])
     def test_physical_config_error_exit_1_without_traceback(self, tmp_path, argv):
         proc = subprocess.run(
             [sys.executable, "-m", "qutrit_parity.cli", "run", *argv,
@@ -270,6 +273,72 @@ def test_noisy_sweep_matches_recorded_fixture(tmp_path):
     assert main(["sweep", "--noise-sigma-deg", "5", "--repeat", "20", "--seed", "1",
                  "--output-dir", str(tmp_path)]) == 2  # 100 of 120 runs classified
     assert read(tmp_path / "sweep.tsv") == read(DATA / "sweep_sigma5_seed1.tsv")
+
+
+def test_noisy_run_matches_recorded_fixture(tmp_path, monkeypatch):
+    """A seeded noisy pulse run, pinned byte for byte to its output before
+    the repetitions were propagated as one batch."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--mode", "pulse", "--permutation", "f4", "--noise-sigma-deg", "5",
+                 "--seed", "3", "--output-dir", "."]) == 0
+    for name in ("readout.json", "run_record.json", "pulse_program.json"):
+        assert read(tmp_path / name) == read(DATA / "run_f4_sigma5_seed3" / name), name
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2014, [5, 2, 7]])
+@pytest.mark.parametrize("sigma", [0.5, 5.0, 60.0, 360.0])
+def test_one_vector_draw_equals_scalar_draws(seed, sigma):
+    """What lets a repetition take its K + 1 flip draws in one call."""
+    k = 17
+    one = np.random.default_rng(seed).normal(0.0, sigma, k)
+    rng = np.random.default_rng(seed)
+    assert one.tobytes() == np.array([rng.normal(0.0, sigma) for _ in range(k)]).tobytes()
+
+
+def test_drawn_flips_wrap_to_360_and_clip_detection(monkeypatch):
+    """A pulse that lands on 0 degrees turns 360, not 0; the last pulse, the
+    detection pulse, is clipped to [1e-6, 360] instead."""
+    offsets = {0: [-90.0, 10.0, -40.0], 1: [1.0, 370.0, 400.0]}
+
+    class FixedDraws:
+        def __init__(self, seed):
+            self.offsets = offsets[seed]
+
+        def normal(self, loc, scale, size):
+            return np.array(self.offsets[:size])
+
+    monkeypatch.setattr(np.random, "default_rng", FixedDraws)
+    events = [spin.Pulse("transition12", 90.0), spin.Delay(1e-3),
+              spin.Pulse("transition23", 350.0), *spectro.detection_events(30.0)]
+    flips = cli._draw_flips(RunConfig(pulse_angle_sigma_deg=5.0), events, [0, 1])
+    assert flips.tolist() == [[360.0, 360.0, 1e-6], [91.0, 360.0, 360.0]]
+
+
+def test_sweep_propagates_each_permutation_once(tmp_path, monkeypatch):
+    calls = []
+    engine = spin.run_pulse_batch
+
+    def counted(rho0, events, flips, *args, **kwargs):
+        calls.append(len(flips))
+        return engine(rho0, events, flips, *args, **kwargs)
+
+    monkeypatch.setattr(spin, "run_pulse_batch", counted)
+    assert main(["sweep", "--noise-sigma-deg", "5", "--repeat", "50",
+                 "--output-dir", str(tmp_path)]) in (0, 2)
+    assert calls == [50] * 6
+
+
+def test_unclassifiable_sweep_rows_carry_measured_lines(tmp_path):
+    """At a 3 Hz coupling the lines overlap, and the minor line of f1-f3
+    reads ~10.5% of the major one, just above the 10% even rule."""
+    assert main(["sweep", "--lambda-q-hz", "3", "--output-dir", str(tmp_path)]) == 2
+    rows = [line.split("\t") for line in
+            read(tmp_path / "sweep.tsv").decode().splitlines()[1:7]]
+    for name, _, verdict, line12, line23, match in rows[:3]:
+        assert (verdict, match) == ("unclassifiable", "False"), name
+        assert float(line12) == pytest.approx(10.41, abs=0.01)
+        assert float(line23) == pytest.approx(99.01, abs=0.01)
+    assert [row[2] for row in rows[3:]] == ["odd"] * 3
 
 
 def test_commands_do_not_import_scipy_optimize(tmp_path):

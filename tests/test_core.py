@@ -9,6 +9,8 @@ from qutrit_parity.core import (
     QutritState,
     Tolerance,
     apply_unitary,
+    check_density,
+    check_unitary,
     dagger,
     equal_up_to_global_phase,
     matrix_to_rows,
@@ -164,6 +166,30 @@ class TestDensityMatrix:
             DensityMatrix(m, "deviation")
 
 
+class TestStackChecks:
+    """check_density and check_unitary reject a stack if any matrix fails."""
+
+    def test_one_bad_row_fails_the_stack(self):
+        good = np.tile(np.diag([1.0, 0.0, -1.0]).astype(complex), (5, 1, 1))
+        check_density(good, "deviation")
+        bad = good.copy()
+        bad[3, 0, 0] = 2.0
+        with pytest.raises(ValueError, match=r"deviation trace is \(1\+0j\)"):
+            check_density(bad, "deviation")
+        bad = good.copy()
+        bad[4, 0, 1] = 1e-3
+        with pytest.raises(ValueError, match="not Hermitian"):
+            check_density(bad, "deviation")
+
+    def test_unitary_stack(self):
+        rng = np.random.default_rng(5)
+        us = np.array([haar_unitary(rng) for _ in range(4)])
+        check_unitary(us)
+        us[2] *= 1.0 + 1e-6
+        with pytest.raises(NonUnitaryError):
+            check_unitary(us)
+
+
 class TestNaNRejected:
     """Every check is written "not dev <= tol", so NaN fails it."""
 
@@ -195,6 +221,11 @@ class TestTolerance:
             Tolerance(entrywise_abs=0.0)
         with pytest.raises(ValueError):
             Tolerance(phase_equivalence=-1e-9)
+
+    @pytest.mark.parametrize("field", ["entrywise_abs", "phase_equivalence"])
+    def test_nan_rejected(self, field):
+        with pytest.raises(ValueError):
+            Tolerance(**{field: float("nan")})
 
 
 class TestSerialization:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qutrit_parity.core import DensityMatrix, Tolerance
+from qutrit_parity.core import DensityMatrix, NonUnitaryError, Tolerance
 from qutrit_parity.spin import (
     IX,
     IY,
@@ -24,12 +24,15 @@ from qutrit_parity.spin import (
     hamiltonian_rotating_frame,
     program_to_records,
     pseudopure_prep_events,
+    pulse_flips,
     pulse_propagator,
     records_to_program,
+    run_pulse_batch,
     run_pulse_program,
     thermal_deviation,
     transition_frequencies,
     virtualz_propagator,
+    with_flips,
 )
 
 LAMBDA_156 = HamiltonianParams(lambda_q=2 * np.pi * 156.0)
@@ -320,6 +323,38 @@ class TestRunPulseProgramContract:
     def test_virtualz_propagator_memoized(self):
         vz = VirtualZ(3, 45.0)
         assert virtualz_propagator(vz) is virtualz_propagator(VirtualZ(3, 45.0))
+
+
+class TestRunPulseBatch:
+    def test_every_row_bit_identical_to_validating_loop(self):
+        """50 rows of seeded flips per random program: each row equals the
+        reference loop run on the program with that row's flip angles."""
+        rng = np.random.default_rng(2015)
+        for _ in range(20):
+            events = [random_event(rng) for _ in range(rng.integers(1, 25))]
+            flips = rng.uniform(1e-6, 360.0, (50, len(pulse_flips(events))))
+            got = run_pulse_batch(thermal_deviation(), events, flips, LAMBDA_156)
+            assert got.shape == (50, 3, 3)
+            for row, row_flips in zip(got, flips):
+                want = reference_run(thermal_deviation(), with_flips(events, row_flips),
+                                     LAMBDA_156)
+                assert row.tobytes() == want.entries.tobytes(), events
+
+    def test_non_unitary_row_rejected(self):
+        flips = np.full((8, 1), 90.0)
+        flips[5, 0] = np.nan
+        with pytest.raises(NonUnitaryError):
+            run_pulse_batch(thermal_deviation(), [Pulse("transition12", 90.0)], flips)
+
+    def test_flip_columns_must_match_pulses(self):
+        events = [Pulse("transition12", 90.0), Delay(1e-3), Pulse("transition23", 90.0)]
+        with pytest.raises(ValueError, match=r"need \(R, K\) flips .* \(1, 1\)"):
+            run_pulse_batch(thermal_deviation(), events, [[90.0]], LAMBDA_156)
+
+    def test_with_flips_keeps_all_but_the_flip(self):
+        events = [Pulse("transition23", 270.0, 180.0, duration_s=4e-3), VirtualZ(2, 90.0)]
+        assert with_flips(events, [12.5]) == [
+            Pulse("transition23", 12.5, 180.0, duration_s=4e-3), VirtualZ(2, 90.0)]
 
 
 def generator(pl: Pulse) -> np.ndarray:
