@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import compiler, spectro, spin
+from .core import DensityMatrix
 from .permutations import (
     CauchyParseError,
     PermutationMap,
@@ -178,9 +179,10 @@ def run_pulse_experiment(cfg: RunConfig, p: PermutationMap, seeds):
 
 
 def read_out(cfg: RunConfig, rho: np.ndarray):
-    """FID, spectrum and readout of one detected deviation."""
+    """FID, spectrum and readout of one detected deviation, a row of the batch."""
     params = cfg.hamiltonian()
-    fid = spectro.synthesize_fid(rho, params, cfg.relaxation(), cfg.n, cfg.dwell_s)
+    fid = spectro.synthesize_fid(DensityMatrix(rho, "deviation"), params, cfg.relaxation(),
+                                 cfg.n, cfg.dwell_s)
     spectrum = spectro.transform(fid)
     return fid, spectrum, spectro.classify_spectrum(spectro.pick_peaks(spectrum), params)
 

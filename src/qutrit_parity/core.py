@@ -51,7 +51,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 def check_unitary(u: np.ndarray, tol: Tolerance = DEFAULT_TOL):
     """Raise NonUnitaryError unless each matrix of u (..., 3, 3) is unitary."""
-    dev = float(np.max(np.abs(u @ u.conj().mT - np.eye(DIM))))
+    dev = float(np.max(np.abs(u @ dagger(u) - np.eye(DIM))))
     if not dev <= tol.entrywise_abs:
         raise NonUnitaryError("matrix is not unitary", dev)
 
@@ -59,7 +59,7 @@ def check_unitary(u: np.ndarray, tol: Tolerance = DEFAULT_TOL):
 def check_density(m: np.ndarray, kind: str, tol: Tolerance = DEFAULT_TOL):
     """Raise ValueError unless each matrix of m (..., 3, 3) is a DensityMatrix
     of `kind`; a wrong trace is reported as the worst one."""
-    dev = float(np.max(np.abs(m - m.conj().mT)))
+    dev = float(np.max(np.abs(m - dagger(m))))
     if not dev <= tol.entrywise_abs:
         raise ValueError(f"density matrix is not Hermitian (max deviation {dev:.3e})")
     want = 1.0 if kind == "true-state" else 0.0
@@ -68,7 +68,7 @@ def check_density(m: np.ndarray, kind: str, tol: Tolerance = DEFAULT_TOL):
     if not abs(worst - want) <= tol.entrywise_abs:
         raise ValueError(f"{kind} trace is {worst!r}, expected {want:g}")
     if kind == "true-state" and np.min(
-            np.linalg.eigvalsh(0.5 * (m + m.conj().mT))) < -tol.entrywise_abs:
+            np.linalg.eigvalsh(0.5 * (m + dagger(m)))) < -tol.entrywise_abs:
         raise ValueError("true-state has a negative eigenvalue")
 
 
@@ -99,6 +99,9 @@ class QutritState:
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
+
+    def projector(self) -> np.ndarray:
+        return np.outer(self.amplitudes, self.amplitudes.conj())
 
     def __repr__(self):
         return f"QutritState({self.amplitudes.tolist()})"
@@ -159,10 +162,10 @@ class DensityMatrix:
 
 
 def dagger(m: Operator3 | np.ndarray) -> Operator3 | np.ndarray:
-    """Conjugate transpose; an involution."""
+    """Conjugate transpose, of each matrix of a (..., 3, 3) stack; an involution."""
     if isinstance(m, Operator3):
         return m.dagger()
-    return np.asarray(m).conj().T
+    return np.swapaxes(np.asarray(m).conj(), -1, -2)
 
 
 def apply_unitary(state, u: Operator3 | np.ndarray,

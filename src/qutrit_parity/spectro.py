@@ -105,9 +105,9 @@ def detect(rho: DensityMatrix, flip_deg: float = 30.0) -> DensityMatrix:
     return DensityMatrix(m, rho.kind)
 
 
-def synthesize_fid(rho, p: HamiltonianParams, r: RelaxationParams,
+def synthesize_fid(rho: DensityMatrix, p: HamiltonianParams, r: RelaxationParams,
                    n: int = DEFAULT_POINTS, dwell: float = DEFAULT_DWELL) -> FID:
-    """Two damped tones from the single-quantum coherences of rho (or its entries).
+    """Two damped tones from the single-quantum coherences of rho.
 
     Coherence pickup is lower-triangular: c12 = rho[2,1] and c23 = rho[3,2]
     in 1-based level indices, both transitions weighted equally.
@@ -122,8 +122,7 @@ def synthesize_fid(rho, p: HamiltonianParams, r: RelaxationParams,
             f"spectral window +-{nyquist:g} Hz too narrow for the "
             f"+-{needed:g} Hz transitions; need bandwidth > {2 * needed:g} Hz"
         )
-    m = rho.entries if isinstance(rho, DensityMatrix) else rho
-    c12, c23 = complex(m[1, 0]), complex(m[2, 1])
+    c12, c23 = complex(rho.entries[1, 0]), complex(rho.entries[2, 1])
     tone12, tone23, decay = _tones(nu12, nu23, r.t2, n, dwell)
     # scalar first: numpy rounds c * arr and arr * c differently for complex
     return FID((c12 * tone12 + c23 * tone23) * decay, dwell)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (DEFAULT_TOL, DensityMatrix, Operator3, Tolerance, check_density,
-                   check_unitary)
+                   check_unitary, dagger)
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -245,7 +245,7 @@ def run_pulse_batch(rho0: DensityMatrix, events, flips,
             check_unitary(u, tol)
         else:
             u = event_propagator(event, params).entries
-        rho = u @ rho @ u.conj().mT
+        rho = u @ rho @ dagger(u)
     check_density(rho, rho0.kind, tol)
     return rho
 

@@ -122,6 +122,11 @@ class TestDagger:
         m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         assert np.array_equal(dagger(dagger(m)), m)
 
+    def test_stack_is_taken_matrix_by_matrix(self):
+        rng = np.random.default_rng(5)
+        m = rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3))
+        assert np.array_equal(dagger(m), np.array([row.conj().T for row in m]))
+
 
 class TestInvariants:
     def test_printed_unitaries_and_fourier_are_unitary(self):
