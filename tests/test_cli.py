@@ -285,6 +285,28 @@ def test_noisy_run_matches_recorded_fixture(tmp_path, monkeypatch):
         assert read(tmp_path / name) == read(DATA / "run_f4_sigma5_seed3" / name), name
 
 
+@pytest.mark.parametrize("name", [f"f{k}" for k in range(1, 7)])
+@pytest.mark.parametrize("mode, output, fixture", [
+    ("gate", "trace.json", "gate_trace"),
+    ("pulse", "readout.json", "pulse_readout"),
+], ids=["gate-trace", "pulse-readout"])
+def test_noise_free_run_matches_recorded_fixture(tmp_path, name, mode, output, fixture):
+    """The gate trace (states and global phase) and the noise-free pulse
+    readout (lines and confidence, even and odd) of each permutation, pinned
+    byte for byte. Recorded with
+
+        for k in 1 2 3 4 5 6; do
+          PYTHONPATH=src python -m qutrit_parity.cli run --mode gate \\
+            --permutation f$k --output-dir g && cp g/trace.json tests/data/gate_trace/f$k.json
+          PYTHONPATH=src python -m qutrit_parity.cli run --mode pulse \\
+            --permutation f$k --output-dir p && cp p/readout.json tests/data/pulse_readout/f$k.json
+        done
+    """
+    assert main(["run", "--mode", mode, "--permutation", name,
+                 "--output-dir", str(tmp_path)]) == 0
+    assert read(tmp_path / output) == read(DATA / fixture / f"{name}.json")
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2014, [5, 2, 7]])
 @pytest.mark.parametrize("sigma", [0.5, 5.0, 60.0, 360.0])
 def test_one_vector_draw_equals_scalar_draws(seed, sigma):
