@@ -34,6 +34,9 @@ from .permutations import (
 
 ENV_OUTPUT_DIR = "QUTRIT_PARITY_OUTPUT_DIR"
 
+#: sweep --repeat bound, so the (R, K) flips and (R, 3, 3) rows fit in memory
+MAX_REPEAT = 10**5
+
 
 def _field(default, section: str, *, flag: str | None = None,
            choices: tuple | None = None, help: str = ""):
@@ -295,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = subs.add_parser("sweep", help="run all six permutations")
     _add_common(sweep)
     sweep.add_argument("--repeat", type=int, default=1,
-                       help="seeded repetitions per permutation")
+                       help=f"seeded repetitions per permutation, at most {MAX_REPEAT}")
 
     comp = subs.add_parser("compile", help="compile a gate to pulses")
     comp.add_argument("gate", help=f"one of {', '.join(compiler.GATE_NAMES)}")
@@ -325,8 +328,8 @@ def main(argv=None) -> int:
         if args.command == "run":
             return cmd_run(cfg)
         if args.command == "sweep":
-            if args.repeat < 1:
-                raise ConfigError("--repeat must be >= 1")
+            if not 1 <= args.repeat <= MAX_REPEAT:
+                raise ConfigError(f"--repeat must be in [1, {MAX_REPEAT}], got {args.repeat}")
             return cmd_sweep(cfg, args.repeat)
         raise ConfigError(f"unknown command {args.command!r}")
     except (ConfigError, CauchyParseError, compiler.UnknownGateError,

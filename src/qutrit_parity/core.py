@@ -100,35 +100,20 @@ class QutritState:
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 
-    def projector(self) -> np.ndarray:
-        return np.outer(self.amplitudes, self.amplitudes.conj())
-
     def __repr__(self):
         return f"QutritState({self.amplitudes.tolist()})"
 
 
 class Operator3:
-    """3x3 complex matrix with optional unitarity/Hermiticity assertions."""
+    """3x3 complex matrix with an optional unitarity assertion."""
 
     __slots__ = ("entries",)
 
-    def __init__(self, entries, *, unitary: bool = False, hermitian: bool = False,
-                 tol: Tolerance = DEFAULT_TOL):
+    def __init__(self, entries, *, unitary: bool = False, tol: Tolerance = DEFAULT_TOL):
         m = np.asarray(entries, dtype=complex).reshape(DIM, DIM)
         if unitary:
             check_unitary(m, tol)
-        if hermitian:
-            dev = float(np.max(np.abs(m - m.conj().T)))
-            if not dev <= tol.entrywise_abs:
-                raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
         self.entries = _frozen(m.copy())
-
-    @classmethod
-    def identity(cls) -> "Operator3":
-        return cls(np.eye(DIM))
-
-    def dagger(self) -> "Operator3":
-        return Operator3(self.entries.conj().T)
 
     def __repr__(self):
         return f"Operator3({self.entries.tolist()})"
@@ -161,10 +146,8 @@ class DensityMatrix:
         return f"DensityMatrix({self.entries.tolist()}, kind={self.kind!r})"
 
 
-def dagger(m: Operator3 | np.ndarray) -> Operator3 | np.ndarray:
+def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose, of each matrix of a (..., 3, 3) stack; an involution."""
-    if isinstance(m, Operator3):
-        return m.dagger()
     return np.swapaxes(np.asarray(m).conj(), -1, -2)
 
 
@@ -176,7 +159,7 @@ def apply_unitary(state, u: Operator3 | np.ndarray,
     if isinstance(state, QutritState):
         return QutritState(um @ state.amplitudes)
     if isinstance(state, DensityMatrix):
-        return DensityMatrix(um @ state.entries @ um.conj().T, state.kind, tol=tol)
+        return DensityMatrix(um @ state.entries @ dagger(um), state.kind, tol=tol)
     raise TypeError(f"cannot apply a unitary to {type(state).__name__}")
 
 
@@ -192,20 +175,6 @@ def equal_up_to_global_phase(a: QutritState, b: QutritState,
     return False, None
 
 
-# --- serialization: matrices as row lists of [re, im] pairs -----------------
-
-def matrix_to_rows(m) -> list:
-    m = m.entries if isinstance(m, Operator3) else np.asarray(m, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
-
-
-def rows_to_matrix(rows) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in rows])
-
-
 def state_to_row(s: QutritState) -> list:
+    """Amplitudes as a list of [re, im] pairs."""
     return [[float(z.real), float(z.imag)] for z in s.amplitudes]
-
-
-def row_to_state(row) -> QutritState:
-    return QutritState([complex(re, im) for re, im in row])

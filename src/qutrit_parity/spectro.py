@@ -98,7 +98,7 @@ def detection_events(flip_deg: float = 30.0) -> list:
 
 def detect(rho: DensityMatrix, flip_deg: float = 30.0) -> DensityMatrix:
     """detection_events on one density matrix; a 0-degree flip is no pulse."""
-    m = np.diag(np.diag(rho.entries))  # the g2 crusher, as in apply_gradient
+    m = np.diag(np.diag(rho.entries))  # the g2 crusher, as in run_pulse_batch
     if flip_deg != 0.0:
         u = pulse_propagator(detection_events(flip_deg)[1]).entries
         m = u @ m @ u.conj().T
@@ -216,13 +216,11 @@ def classify_spectrum(peaks, p: HamiltonianParams) -> ReadoutResult:
     if a12 == 0.0 and a23 == 0.0:
         raise UnclassifiableSpectrumError(line12, line23)
     big, small = max(a12, a23), min(a12, a23)
+    # big > 0 here, so the confidence lies in (0.9, 1] if even, [0.5, 1] if odd
     if small < 0.1 * big:
-        confidence = 1.0 - (small / big if big > 0 else 0.0)
-        return ReadoutResult(Parity.EVEN, line12, line23, min(max(confidence, 0.0), 1.0))
-    ratio = big / small
-    if ratio <= 2.0 and line12 * line23 < 0.0:
-        confidence = small / big
-        return ReadoutResult(Parity.ODD, line12, line23, min(max(confidence, 0.0), 1.0))
+        return ReadoutResult(Parity.EVEN, line12, line23, 1.0 - small / big)
+    if big / small <= 2.0 and line12 * line23 < 0.0:
+        return ReadoutResult(Parity.ODD, line12, line23, small / big)
     raise UnclassifiableSpectrumError(line12, line23)
 
 

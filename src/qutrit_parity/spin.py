@@ -22,42 +22,21 @@ _SQRT2 = math.sqrt(2.0)
 IX = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / _SQRT2
 IY = np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]], dtype=complex) / _SQRT2
 IZ = np.diag([1.0, 0.0, -1.0]).astype(complex)
-ISQ = 2.0 * np.eye(3, dtype=complex)  # I(I+1) = 2 for spin 1
 
 TRANSITIONS = {"transition12": (0, 1), "transition23": (1, 2)}
 TARGETS = ("transition12", "transition23", "nonselective")
 
-#: carrier frequency bookkeeping value, rad/s (deuterium at 91.108 MHz)
-OMEGA0_DEFAULT = 2 * math.pi * 91.108e6
-
 
 @dataclass(frozen=True)
 class HamiltonianParams:
-    """Rotating-frame spin Hamiltonian parameters.
-
-    lambda_q is the effective quadrupolar coupling in rad/s. When the
-    underlying pair (order_param S, eqq) is given, lambda_q must equal
-    eqq * S / 4.
-    """
+    """The rotating-frame Hamiltonian H = Lambda (3 Iz^2 - I^2), given by
+    lambda_q alone: the effective quadrupolar coupling Lambda in rad/s."""
 
     lambda_q: float
-    omega0: float = OMEGA0_DEFAULT
-    order_param: float | None = None
-    eqq: float | None = None
 
     def __post_init__(self):
         if not math.isfinite(self.lambda_q):
             raise ValueError("lambda_q must be finite")
-        if (self.order_param is None) != (self.eqq is None):
-            raise ValueError("order_param and eqq must be given together")
-        if self.order_param is not None:
-            expected = self.eqq * self.order_param / 4.0
-            scale = max(abs(expected), abs(self.lambda_q), 1e-300)
-            if abs(self.lambda_q - expected) > 1e-9 * scale:
-                raise ValueError(
-                    f"lambda_q {self.lambda_q} inconsistent with "
-                    f"eqq*S/4 = {expected}"
-                )
 
 
 @dataclass(frozen=True)
@@ -121,11 +100,6 @@ class GradientEvent:
 
 
 Event = Pulse | Delay | VirtualZ | GradientEvent
-
-
-def hamiltonian_rotating_frame(p: HamiltonianParams) -> Operator3:
-    """Lambda * (3 Iz^2 - I^2) = Lambda * diag(1, -2, 1), rad/s."""
-    return Operator3(p.lambda_q * (3.0 * IZ @ IZ - ISQ), hermitian=True)
 
 
 def transition_frequencies(p: HamiltonianParams) -> tuple[float, float]:
@@ -202,11 +176,6 @@ def event_propagator(event: Event, params: HamiltonianParams | None = None) -> O
     if isinstance(event, GradientEvent):
         raise ValueError("a gradient is not unitary and has no propagator")
     raise TypeError(f"unknown event {event!r}")
-
-
-def apply_gradient(rho: DensityMatrix, g: GradientEvent | None = None) -> DensityMatrix:
-    """Ideal crusher: off-diagonals to exactly zero, diagonal unchanged."""
-    return DensityMatrix(np.diag(np.diag(rho.entries)), rho.kind)
 
 
 def thermal_deviation() -> DensityMatrix:

@@ -193,6 +193,18 @@ class TestInputContract:
         assert "[acqusition]" in capsys.readouterr().err
         assert not (tmp_path / "run_record.json").exists()
 
+    @pytest.mark.parametrize("repeat", [0, cli.MAX_REPEAT + 1])
+    def test_repeat_out_of_range_exit_1_before_any_run(self, tmp_path, capsys,
+                                                       monkeypatch, repeat):
+        def unreachable(*args):
+            raise AssertionError("a sweep ran before --repeat was checked")
+
+        monkeypatch.setattr(cli, "run_pulse_experiment", unreachable)
+        assert main(["sweep", "--repeat", str(repeat), "--output-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --repeat must be in [1, 100000], got {repeat}\n")
+        assert not (tmp_path / "sweep.tsv").exists()
+
     def test_unwritable_output_dir_exit_1_without_traceback(self, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("")

@@ -13,9 +13,6 @@ from qutrit_parity.core import (
     check_unitary,
     dagger,
     equal_up_to_global_phase,
-    matrix_to_rows,
-    row_to_state,
-    rows_to_matrix,
     state_to_row,
 )
 from qutrit_parity.permutations import _PRINTED_UNITARIES, fourier
@@ -36,7 +33,7 @@ def random_state(rng):
 
 class TestApplyUnitary:
     def test_identity_on_minus1(self):
-        s = apply_unitary(QutritState.ket(-1), Operator3.identity())
+        s = apply_unitary(QutritState.ket(-1), Operator3(np.eye(3)))
         assert np.allclose(s.amplitudes, [0, 0, 1])
 
     def test_fourier_on_minus1_gives_superposition(self):
@@ -107,7 +104,7 @@ class TestEqualUpToGlobalPhase:
 
 class TestDagger:
     def test_identity(self):
-        assert np.array_equal(dagger(Operator3.identity()).entries, np.eye(3))
+        assert np.array_equal(dagger(np.eye(3)), np.eye(3))
 
     def test_fourier_is_symmetric(self):
         f = fourier(3)
@@ -208,8 +205,6 @@ class TestNaNRejected:
     def test_operator_unitary_and_hermitian(self):
         with pytest.raises(NonUnitaryError):
             Operator3(self.NAN, unitary=True)
-        with pytest.raises(ValueError, match="not Hermitian"):
-            Operator3(self.NAN, hermitian=True)
 
     def test_apply_unitary(self):
         with pytest.raises(NonUnitaryError):
@@ -234,11 +229,8 @@ class TestTolerance:
 
 
 class TestSerialization:
-    def test_matrix_roundtrip(self):
-        f = fourier(3)
-        assert np.array_equal(rows_to_matrix(matrix_to_rows(f)), f)
-
     def test_state_roundtrip(self):
         rng = np.random.default_rng(9)
         s = random_state(rng)
-        assert np.array_equal(row_to_state(state_to_row(s)).amplitudes, s.amplitudes)
+        back = QutritState([complex(re, im) for re, im in state_to_row(s)])
+        assert np.array_equal(back.amplitudes, s.amplitudes)
