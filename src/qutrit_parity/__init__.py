@@ -6,7 +6,6 @@ from .core import (
     DensityMatrix,
     Operator3,
     QutritState,
-    Tolerance,
     apply_unitary,
     dagger,
     equal_up_to_global_phase,
@@ -31,7 +30,6 @@ __all__ = [
     "Parity",
     "PermutationMap",
     "QutritState",
-    "Tolerance",
     "apply_unitary",
     "classify_final_state",
     "compose",

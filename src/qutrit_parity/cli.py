@@ -56,8 +56,8 @@ class RunConfig:
     t1_s: float = _field(0.170, "run")
     t2_s: float = _field(0.050, "run")
     detection_flip_deg: float = _field(30.0, "run")
-    n: int = _field(4096, "acquisition")
-    dwell_s: float = _field(1.0 / 4000.0, "acquisition")
+    n: int = _field(spectro.DEFAULT_POINTS, "acquisition")
+    dwell_s: float = _field(spectro.DEFAULT_DWELL, "acquisition")
     pulse_angle_sigma_deg: float = _field(0.0, "noise", flag="--noise-sigma-deg")
     seed: int = _field(0, "noise")
     output_dir: str = _field(".", "run")
@@ -83,8 +83,10 @@ class RunConfig:
                 raise ConfigError(f"{name} = {getattr(self, name)} is outside [0, 360]")
         if not self.t2_s <= 2.0 * self.t1_s:
             raise ConfigError(f"need t2_s <= 2 * t1_s, got {self.t2_s} > 2 * {self.t1_s}")
-        # the lines at +-3 lambda_q_hz, in the arithmetic of transition_frequencies
-        nu = 3.0 * (2.0 * math.pi * self.lambda_q_hz) / (2.0 * math.pi)
+        try:  # 2 pi lambda_q_hz may overflow, which HamiltonianParams rejects
+            nu = spin.transition_frequencies(self.hamiltonian())[1]
+        except ValueError as exc:
+            raise ConfigError(f"lambda_q_hz = {self.lambda_q_hz:g} is out of range ({exc})") from None
         if not nu < 1.0 / (2.0 * self.dwell_s):
             raise ConfigError(f"lines at +-{nu:g} Hz lie outside the spectral window "
                               f"+-1/(2 dwell_s) = +-{1.0 / (2.0 * self.dwell_s):g} Hz")
@@ -103,15 +105,16 @@ class ConfigError(ValueError):
     pass
 
 
-def load_config(path: str) -> RunConfig:
+def load_config(path: str, cfg: RunConfig | None = None) -> RunConfig:
+    """cfg (a new RunConfig by default) with the keys of a UTF-8 INI file set."""
     fields = {f.name: f for f in dataclasses.fields(RunConfig)}
     sections = {f.metadata["section"] for f in fields.values()}
-    cfg = RunConfig()
+    cfg = RunConfig() if cfg is None else cfg
     # "" can never be a section header, so "[DEFAULT]" is an ordinary (and
     # unknown) section rather than keys merged into every other section
     parser = configparser.ConfigParser(default_section="")
     try:
-        if not parser.read(path):
+        if not parser.read(path, encoding="utf-8"):
             raise ConfigError(f"cannot read config file {path!r}")
         for section in parser.sections():
             if section not in sections:
@@ -124,18 +127,22 @@ def load_config(path: str) -> RunConfig:
                     setattr(cfg, key, type(f.default)(raw))
                 except ValueError:
                     raise ConfigError(f"bad value {raw!r} for {key}") from None
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"malformed config file {path!r}: {exc}") from None
     return cfg
 
 
 def _atomic_write(path: str, text: str):
+    """Write path through a temporary file, with the mode open() would give."""
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    umask = os.umask(0)  # read, then restored: mkstemp's files are 0600
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -307,13 +314,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> RunConfig:
-    cfg = load_config(args.config) if args.config else RunConfig()
+    """Each field from its flag, else the INI file, else its default; the
+    output directory's default is $QUTRIT_PARITY_OUTPUT_DIR, else "."."""
+    cfg = RunConfig(output_dir=os.environ.get(ENV_OUTPUT_DIR, "."))
+    if getattr(args, "config", None):
+        load_config(args.config, cfg)
     for f in dataclasses.fields(RunConfig):
-        value = getattr(args, f.name)
+        value = getattr(args, f.name, None)
         if value is not None:
             setattr(cfg, f.name, value)
-    if args.output_dir is None and cfg.output_dir == "." and ENV_OUTPUT_DIR in os.environ:
-        cfg.output_dir = os.environ[ENV_OUTPUT_DIR]
     cfg.validate()
     return cfg
 
@@ -321,10 +330,9 @@ def _config_from_args(args) -> RunConfig:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "compile":
-            out = args.output_dir or os.environ.get(ENV_OUTPUT_DIR, ".")
-            return cmd_compile(args.gate, out)
         cfg = _config_from_args(args)
+        if args.command == "compile":
+            return cmd_compile(args.gate, cfg.output_dir)
         if args.command == "run":
             return cmd_run(cfg)
         if args.command == "sweep":

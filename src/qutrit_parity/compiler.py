@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, DIM, Operator3, Tolerance, _frozen
+from .core import DIM, PHASE_TOL, Operator3, _frozen
 from .permutations import NAMED_MAPS, fourier, unitary_of
 from .spin import (
     GradientEvent,
@@ -68,16 +68,16 @@ def sequence_propagator(events, params: HamiltonianParams | None = None) -> Oper
             raise ValueError("gradients are non-unitary; not allowed in a "
                              "sequence propagator")
         u = event_propagator(event, params).entries @ u
-    return Operator3(u, unitary=True)
+    return Operator3(u)
 
 
-def _diagonal_frame_correction(achieved: np.ndarray, target: np.ndarray,
-                               tol: float = 1e-9):
+def _diagonal_frame_correction(achieved: np.ndarray, target: np.ndarray):
     """Solve target = diag(e^{ia}) @ achieved @ diag(e^{ib}), if possible.
 
     Requires every entry magnitude to match; returns (a, b) phase vectors or
     None. Only handles matrices with all entries nonzero (the Fourier case).
     """
+    tol = 1e-9
     if np.min(np.abs(achieved)) < tol or np.min(np.abs(target)) < tol:
         return None
     if np.max(np.abs(np.abs(achieved) - np.abs(target))) > tol:
@@ -173,7 +173,7 @@ def compile_gate(name: str) -> CompiledSequence:
     target, build = _GATES[name]
     events = tuple(build())
     fid = fidelity(target, sequence_propagator(events).entries)
-    return CompiledSequence(name, target, events, fid, phase_exact=fid >= 1.0 - 1e-9)
+    return CompiledSequence(name, target, events, fid, phase_exact=fid >= 1.0 - PHASE_TOL)
 
 
 @dataclass(frozen=True)
@@ -183,7 +183,7 @@ class VerificationReport:
     worst_entry: float
 
 
-def verify(seq: CompiledSequence, tol: Tolerance = DEFAULT_TOL) -> VerificationReport:
+def verify(seq: CompiledSequence) -> VerificationReport:
     """Recompute the achieved propagator and its distance to the target."""
     achieved = sequence_propagator(seq.events).entries
     target = seq.target
@@ -191,7 +191,7 @@ def verify(seq: CompiledSequence, tol: Tolerance = DEFAULT_TOL) -> VerificationR
     tr = np.trace(np.asarray(target).conj().T @ achieved)
     aligned = achieved * np.exp(-1j * np.angle(tr)) if abs(tr) > 0 else achieved
     worst = float(np.max(np.abs(aligned - target)))
-    return VerificationReport(fid, fid >= 1.0 - tol.phase_equivalence, worst)
+    return VerificationReport(fid, fid >= 1.0 - PHASE_TOL, worst)
 
 
 # --- template optimization --------------------------------------------------
@@ -294,4 +294,4 @@ def optimize_sequence(template: SequenceTemplate, target: np.ndarray,
     events = tuple(template.bind(best_x))
     fid = 1.0 - best_val
     return CompiledSequence("optimized", np.asarray(target, dtype=complex),
-                            events, fid, phase_exact=fid >= 1.0 - 1e-9)
+                            events, fid, phase_exact=fid >= 1.0 - PHASE_TOL)

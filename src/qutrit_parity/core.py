@@ -2,12 +2,10 @@
 
 Basis ordering follows the energy-level diagram: index 0 is |+1>, index 1 is
 |0>, index 2 is |-1>. All other modules share this convention and the
-tolerances defined here.
+fixed tolerances defined here.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,17 +28,12 @@ class NonUnitaryError(ValueError):
         self.max_deviation = max_deviation
 
 
-@dataclass(frozen=True)
-class Tolerance:
-    entrywise_abs: float = 1e-10
-    phase_equivalence: float = 1e-9
-
-    def __post_init__(self):
-        if not (self.entrywise_abs > 0 and self.phase_equivalence > 0):
-            raise ValueError("tolerances must be strictly positive")
-
-
-DEFAULT_TOL = Tolerance()
+#: largest entry deviation a unitarity, Hermiticity or trace check accepts
+ENTRY_TOL = 1e-10
+#: two states or gates agree up to a global phase when |overlap| >= 1 - PHASE_TOL
+PHASE_TOL = 1e-9
+#: largest deviation of a pure state's squared norm from 1
+NORM_TOL = 1e-12
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -49,26 +42,26 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def check_unitary(u: np.ndarray, tol: Tolerance = DEFAULT_TOL):
+def check_unitary(u: np.ndarray):
     """Raise NonUnitaryError unless each matrix of u (..., 3, 3) is unitary."""
     dev = float(np.max(np.abs(u @ dagger(u) - np.eye(DIM))))
-    if not dev <= tol.entrywise_abs:
+    if not dev <= ENTRY_TOL:
         raise NonUnitaryError("matrix is not unitary", dev)
 
 
-def check_density(m: np.ndarray, kind: str, tol: Tolerance = DEFAULT_TOL):
+def check_density(m: np.ndarray, kind: str):
     """Raise ValueError unless each matrix of m (..., 3, 3) is a DensityMatrix
     of `kind`; a wrong trace is reported as the worst one."""
     dev = float(np.max(np.abs(m - dagger(m))))
-    if not dev <= tol.entrywise_abs:
+    if not dev <= ENTRY_TOL:
         raise ValueError(f"density matrix is not Hermitian (max deviation {dev:.3e})")
     want = 1.0 if kind == "true-state" else 0.0
     tr = np.trace(m, axis1=-2, axis2=-1).reshape(-1)
     worst = complex(tr[np.argmax(np.abs(tr - want))])
-    if not abs(worst - want) <= tol.entrywise_abs:
+    if not abs(worst - want) <= ENTRY_TOL:
         raise ValueError(f"{kind} trace is {worst!r}, expected {want:g}")
     if kind == "true-state" and np.min(
-            np.linalg.eigvalsh(0.5 * (m + dagger(m)))) < -tol.entrywise_abs:
+            np.linalg.eigvalsh(0.5 * (m + dagger(m)))) < -ENTRY_TOL:
         raise ValueError("true-state has a negative eigenvalue")
 
 
@@ -77,10 +70,10 @@ class QutritState:
 
     __slots__ = ("amplitudes",)
 
-    def __init__(self, amplitudes, *, norm_tol: float = 1e-12):
+    def __init__(self, amplitudes):
         a = np.asarray(amplitudes, dtype=complex).reshape(DIM)
         norm_sq = float(np.sum(np.abs(a) ** 2))
-        if not abs(norm_sq - 1.0) <= norm_tol:
+        if not abs(norm_sq - 1.0) <= NORM_TOL:
             raise NormalizationError(
                 f"amplitudes have squared norm {norm_sq!r}, expected 1"
             )
@@ -105,14 +98,13 @@ class QutritState:
 
 
 class Operator3:
-    """3x3 complex matrix with an optional unitarity assertion."""
+    """Read-only 3x3 unitary, checked when constructed."""
 
     __slots__ = ("entries",)
 
-    def __init__(self, entries, *, unitary: bool = False, tol: Tolerance = DEFAULT_TOL):
+    def __init__(self, entries):
         m = np.asarray(entries, dtype=complex).reshape(DIM, DIM)
-        if unitary:
-            check_unitary(m, tol)
+        check_unitary(m)
         self.entries = _frozen(m.copy())
 
     def __repr__(self):
@@ -130,12 +122,11 @@ class DensityMatrix:
 
     KINDS = ("true-state", "deviation")
 
-    def __init__(self, entries, kind: str = "true-state", *,
-                 tol: Tolerance = DEFAULT_TOL):
+    def __init__(self, entries, kind: str = "true-state"):
         if kind not in self.KINDS:
             raise ValueError(f"kind must be one of {self.KINDS}, got {kind!r}")
         m = np.asarray(entries, dtype=complex).reshape(DIM, DIM)
-        check_density(m, kind, tol)
+        check_density(m, kind)
         self.entries = _frozen(m.copy())
         self.kind = kind
 
@@ -151,26 +142,24 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.swapaxes(np.asarray(m).conj(), -1, -2)
 
 
-def apply_unitary(state, u: Operator3 | np.ndarray,
-                  tol: Tolerance = DEFAULT_TOL):
-    """u|psi> for a pure state, u rho u^dagger for a density matrix."""
-    um = u.entries if isinstance(u, Operator3) else np.asarray(u, dtype=complex)
-    check_unitary(um, tol)
+def apply_unitary(state, u: Operator3 | np.ndarray):
+    """u|psi> for a pure state, u rho u^dagger for a density matrix; an array
+    u is checked unitary as an Operator3."""
+    um = (u if isinstance(u, Operator3) else Operator3(u)).entries
     if isinstance(state, QutritState):
         return QutritState(um @ state.amplitudes)
     if isinstance(state, DensityMatrix):
-        return DensityMatrix(um @ state.entries @ dagger(um), state.kind, tol=tol)
+        return DensityMatrix(um @ state.entries @ dagger(um), state.kind)
     raise TypeError(f"cannot apply a unitary to {type(state).__name__}")
 
 
-def equal_up_to_global_phase(a: QutritState, b: QutritState,
-                             tol: Tolerance = DEFAULT_TOL):
+def equal_up_to_global_phase(a: QutritState, b: QutritState):
     """Whether b = e^{i phi} a, and the phase phi = arg<a|b> when it is.
 
     Returns (True, phi) or (False, None).
     """
     ov = a.overlap(b)
-    if abs(ov) >= 1.0 - tol.phase_equivalence:
+    if abs(ov) >= 1.0 - PHASE_TOL:
         return True, float(np.angle(ov))
     return False, None
 

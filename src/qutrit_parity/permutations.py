@@ -18,12 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    DEFAULT_TOL,
     INDEX_OF_LEVEL,
     LEVEL_OF_INDEX,
+    PHASE_TOL,
     Operator3,
     QutritState,
-    Tolerance,
     equal_up_to_global_phase,
     state_to_row,
 )
@@ -105,7 +104,7 @@ _PRINTED_UNITARIES = {
 #: every bijection of the three labels is a named map
 _BY_IMAGES = {p.images: p for p in NAMED_MAPS.values()}
 
-_UNITARIES = {name: Operator3(u, unitary=True) for name, u in _PRINTED_UNITARIES.items()}
+_UNITARIES = {name: Operator3(u) for name, u in _PRINTED_UNITARIES.items()}
 
 
 def name_of(p: PermutationMap) -> str:
@@ -206,16 +205,16 @@ def fourier(d: int) -> np.ndarray:
     return np.exp(2j * np.pi * jk / d) / np.sqrt(d)
 
 
-FOURIER3 = Operator3(fourier(3), unitary=True)
+FOURIER3 = Operator3(fourier(3))
 
 
-def classify_final_state(s: QutritState, tol: Tolerance = DEFAULT_TOL) -> Parity:
+def classify_final_state(s: QutritState) -> Parity:
     """Even if the state sits on |-1>, odd if on |0>, else unclassifiable."""
     p_even = abs(s.overlap(QutritState.ket(-1))) ** 2
     p_odd = abs(s.overlap(QutritState.ket(0))) ** 2
-    if p_even >= 1.0 - tol.phase_equivalence:
+    if p_even >= 1.0 - PHASE_TOL:
         return Parity.EVEN
-    if p_odd >= 1.0 - tol.phase_equivalence:
+    if p_odd >= 1.0 - PHASE_TOL:
         return Parity.ODD
     raise UnclassifiableStateError(p_even, p_odd)
 
@@ -242,8 +241,7 @@ class AlgorithmTrace:
         }
 
 
-def run_parity_algorithm(p: PermutationMap,
-                         tol: Tolerance = DEFAULT_TOL) -> AlgorithmTrace:
+def run_parity_algorithm(p: PermutationMap) -> AlgorithmTrace:
     """One oracle call between the Fourier transform and its inverse.
 
     Pipeline: |-1>  ->  F  ->  U_f  ->  F^dagger, then a basis measurement
@@ -263,10 +261,10 @@ def run_parity_algorithm(p: PermutationMap,
     post_oracle = oracle(post_fourier)
     final = QutritState(f.conj().T @ post_oracle.amplitudes)
 
-    verdict = classify_final_state(final, tol)
+    verdict = classify_final_state(final)
     reference = QutritState.ket(-1 if verdict is Parity.EVEN else 0)
-    # classify_final_state showed |<ref|final>|^2 >= 1 - tol, so the overlap's
-    # modulus is >= 1 - tol as well: the states agree up to a phase
-    _, phase = equal_up_to_global_phase(reference, final, tol)
+    # classify_final_state showed |<ref|final>|^2 >= 1 - PHASE_TOL, so the
+    # overlap's modulus is >= 1 - PHASE_TOL as well: the states agree up to a phase
+    _, phase = equal_up_to_global_phase(reference, final)
     return AlgorithmTrace(initial, post_fourier, post_oracle, final,
                           verdict, phase, calls)

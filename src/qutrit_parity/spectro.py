@@ -28,8 +28,8 @@ from .spin import (
 DEFAULT_POINTS = 4096
 DEFAULT_DWELL = 1.0 / 4000.0
 
-#: peaks below this fraction of the strongest line are ignored, matching the
-#: 10% single-line dominance rule of the classifier
+#: peaks below this fraction of the strongest line are ignored; classify_spectrum's
+#: 10% single-line dominance rule (even parity) reads it too, as the two must match
 DEFAULT_PEAK_THRESHOLD = 0.1
 
 
@@ -91,12 +91,12 @@ class ReadoutResult:
                 "line23": self.line23, "confidence": self.confidence}
 
 
-def detection_events(flip_deg: float = 30.0) -> list:
+def detection_events(flip_deg: float) -> list:
     """Clean-up gradient g2 followed by a non-selective pulse about +y."""
     return [GradientEvent("g2"), Pulse("nonselective", flip_deg, 90.0, duration_s=0.5e-3)]
 
 
-def detect(rho: DensityMatrix, flip_deg: float = 30.0) -> DensityMatrix:
+def detect(rho: DensityMatrix, flip_deg: float) -> DensityMatrix:
     """detection_events on one density matrix; a 0-degree flip is no pulse."""
     m = np.diag(np.diag(rho.entries))  # the g2 crusher, as in run_pulse_batch
     if flip_deg != 0.0:
@@ -217,7 +217,7 @@ def classify_spectrum(peaks, p: HamiltonianParams) -> ReadoutResult:
         raise UnclassifiableSpectrumError(line12, line23)
     big, small = max(a12, a23), min(a12, a23)
     # big > 0 here, so the confidence lies in (0.9, 1] if even, [0.5, 1] if odd
-    if small < 0.1 * big:
+    if small < DEFAULT_PEAK_THRESHOLD * big:
         return ReadoutResult(Parity.EVEN, line12, line23, 1.0 - small / big)
     if big / small <= 2.0 and line12 * line23 < 0.0:
         return ReadoutResult(Parity.ODD, line12, line23, small / big)

@@ -14,8 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (DEFAULT_TOL, DensityMatrix, Operator3, Tolerance, check_density,
-                   check_unitary, dagger)
+from .core import DensityMatrix, Operator3, check_density, check_unitary, dagger
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -115,8 +114,7 @@ def transition_frequencies(p: HamiltonianParams) -> tuple[float, float]:
 def pulse_propagator(pl: Pulse) -> Operator3:
     """Selective: exp(-i flip/2 (cos phi X_pq + sin phi Y_pq)) on one
     sub-block; non-selective: exp(-i flip (cos phi Ix + sin phi Iy))."""
-    return Operator3(_pulse_matrices(pl.target, [pl.flip_deg], pl.phase_deg)[0],
-                     unitary=True)
+    return Operator3(_pulse_matrices(pl.target, [pl.flip_deg], pl.phase_deg)[0])
 
 
 def _pulse_matrices(target: str, flips_deg, phase_deg: float) -> np.ndarray:
@@ -152,7 +150,7 @@ def delay_propagator(p: HamiltonianParams, t: float) -> Operator3:
     if t < 0:
         raise ValueError(f"delay time must be non-negative, got {t}")
     phases = np.exp(-1j * p.lambda_q * np.array([1.0, -2.0, 1.0]) * t)
-    return Operator3(np.diag(phases), unitary=True)
+    return Operator3(np.diag(phases))
 
 
 #: bounded, because a template optimization binds a fresh angle per step;
@@ -161,7 +159,7 @@ def delay_propagator(p: HamiltonianParams, t: float) -> Operator3:
 def virtualz_propagator(vz: VirtualZ) -> Operator3:
     phases = np.ones(3, dtype=complex)
     phases[vz.level - 1] = np.exp(1j * math.radians(vz.angle_deg))
-    return Operator3(np.diag(phases), unitary=True)
+    return Operator3(np.diag(phases))
 
 
 def event_propagator(event: Event, params: HamiltonianParams | None = None) -> Operator3:
@@ -195,8 +193,7 @@ def with_flips(events, flips) -> list:
 
 
 def run_pulse_batch(rho0: DensityMatrix, events, flips,
-                    params: HamiltonianParams | None = None,
-                    tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+                    params: HamiltonianParams | None = None) -> np.ndarray:
     """Apply events in time order to R copies of rho0 at once, row r turning the
     k-th pulse by flips[r, k] degrees. Each pulse propagator is checked unitary,
     and at exit the (R, 3, 3) rows as DensityMatrix entries of rho0's kind."""
@@ -211,21 +208,20 @@ def run_pulse_batch(rho0: DensityMatrix, events, flips,
             continue
         if isinstance(event, Pulse):
             u = _pulse_matrices(event.target, next(pulses), event.phase_deg)
-            check_unitary(u, tol)
+            check_unitary(u)
         else:
             u = event_propagator(event, params).entries
         rho = u @ rho @ dagger(u)
-    check_density(rho, rho0.kind, tol)
+    check_density(rho, rho0.kind)
     return rho
 
 
 def run_pulse_program(rho0: DensityMatrix, events,
-                      params: HamiltonianParams | None = None,
-                      tol: Tolerance = DEFAULT_TOL) -> DensityMatrix:
+                      params: HamiltonianParams | None = None) -> DensityMatrix:
     """run_pulse_batch on one row, with the events' own flip angles."""
     events = list(events)
-    rho = run_pulse_batch(rho0, events, [pulse_flips(events)], params, tol)
-    return DensityMatrix(rho[0], rho0.kind, tol=tol)
+    rho = run_pulse_batch(rho0, events, [pulse_flips(events)], params)
+    return DensityMatrix(rho[0], rho0.kind)
 
 
 def pseudopure_prep_events() -> list:

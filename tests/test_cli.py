@@ -170,6 +170,32 @@ class TestConfig:
         assert main(["run", "--mode", "gate", "--permutation", "f1"]) == 0
         assert (tmp_path / "trace.json").exists()
 
+    @pytest.mark.parametrize("command, flag, ini, env, want", [
+        (command, *case) for command in (["run", "--mode", "gate"], ["sweep"], ["compile", "I"])
+        for case in ((None, None, None, "."), (None, None, "env", "env"),
+                     (None, "ini", "env", "ini"), (None, ".", "env", "."),
+                     (None, "./", "env", "."), ("flag", "ini", "env", "flag"))
+        if command[0] != "compile" or case[1] is None],  # compile reads no INI
+        ids=lambda v: v[0] if isinstance(v, list) else str(v))
+    def test_output_dir_precedence(self, tmp_path, monkeypatch, command,
+                                   flag, ini, env, want):
+        """flag, then INI, then $QUTRIT_PARITY_OUTPUT_DIR, then "."."""
+        monkeypatch.chdir(tmp_path)
+        if env is None:
+            monkeypatch.delenv(ENV_OUTPUT_DIR, raising=False)
+        else:
+            monkeypatch.setenv(ENV_OUTPUT_DIR, env)
+        argv = list(command)
+        if flag is not None:
+            argv += ["--output-dir", flag]
+        if ini is not None:
+            Path("cfg.ini").write_text(f"[run]\noutput_dir = {ini}\n")
+            argv += ["--config", "cfg.ini"]
+        assert main(argv) == 0
+        written = {p.parent.name or "." for p in Path().rglob("*")
+                   if p.is_file() and p.name != "cfg.ini"}
+        assert written == {want}
+
 
 class TestInputContract:
     @pytest.mark.parametrize("ini", [
@@ -205,6 +231,31 @@ class TestInputContract:
             f"error: --repeat must be in [1, 100000], got {repeat}\n")
         assert not (tmp_path / "sweep.tsv").exists()
 
+    def test_non_utf8_config_exit_1_without_traceback(self, tmp_path):
+        path = tmp_path / "bad.ini"
+        path.write_bytes(b"\xff\xfe[run]\nmode = gate\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "qutrit_parity.cli", "run", "--config", str(path),
+             "--output-dir", str(tmp_path)],
+            capture_output=True, text=True, env=_package_env(), timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: malformed config file")
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "run_record.json").exists()
+
+    @pytest.mark.parametrize("umask", [0o022, 0o027], ids=oct)
+    def test_output_files_get_the_umask_mode(self, tmp_path, umask):
+        """Each file has the mode open() would give it: 0o666 less the umask."""
+        old = os.umask(umask)
+        try:
+            assert main(["run", "--mode", "gate", "--output-dir", str(tmp_path)]) == 0
+            assert main(["compile", "I", "--output-dir", str(tmp_path)]) == 0
+        finally:
+            os.umask(old)
+        modes = {p.name: p.stat().st_mode & 0o777 for p in tmp_path.iterdir()}
+        assert modes == dict.fromkeys(["trace.json", "run_record.json", "I_sequence.json"],
+                                      0o666 & ~umask)
+
     def test_unwritable_output_dir_exit_1_without_traceback(self, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("")
@@ -226,8 +277,9 @@ class TestInputContract:
         ["--noise-sigma-deg", "1e308"],  # its draws would overflow to NaN flips
         ["--seed", "-1"],
         ["--n", str(2**50)],  # its FID would not fit in memory
+        ["--lambda-q-hz", "1e308"],  # 2 pi lambda_q_hz overflows to inf
     ], ids=["t2-above-2t1", "lines-outside-window", "flip-above-360",
-            "sigma-above-360", "negative-seed", "n-above-2**20"])
+            "sigma-above-360", "negative-seed", "n-above-2**20", "lambda-overflows"])
     def test_physical_config_error_exit_1_without_traceback(self, tmp_path, argv):
         proc = subprocess.run(
             [sys.executable, "-m", "qutrit_parity.cli", "run", *argv,
@@ -275,6 +327,27 @@ def test_flag_and_ini_set_the_same_field(tmp_path, field):
         record.unlink()  # the next run must write its own
     assert snapshots[0] == snapshots[1]
     assert snapshots[0][field.name] == value
+
+
+def test_readme_flag_table_matches_config_and_parser():
+    """README's table declares the config a second time: each row's flag,
+    section, key and default must be the RunConfig field's, and the flag
+    build_parser gives that field in run and in sweep."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    rows = [[cell.strip().strip("`") for cell in line.strip("|").split("|")]
+            for line in readme.splitlines() if line.startswith("| `--")]
+    fields = {f.name: f for f in dataclasses.fields(RunConfig)}
+    table = {key: (flag, section, default) for flag, section, key, default in rows}
+    assert len(rows) == len(table) and set(table) == set(fields)
+    commands = cli.build_parser()._subparsers._group_actions[0].choices
+    for command in ("run", "sweep"):
+        actions = {a.dest: a for a in commands[command]._actions}
+        for name, (flag, section, default) in table.items():
+            field, action = fields[name], actions[name]
+            choices = f" {{{','.join(action.choices)}}}" if action.choices else ""
+            assert flag == action.option_strings[0] + choices
+            assert section == f"[{field.metadata['section']}]"
+            assert type(field.default)(default) == field.default, name
 
 
 DATA = Path(__file__).parent / "data"

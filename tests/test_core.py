@@ -7,7 +7,6 @@ from qutrit_parity.core import (
     NormalizationError,
     Operator3,
     QutritState,
-    Tolerance,
     apply_unitary,
     check_density,
     check_unitary,
@@ -204,7 +203,7 @@ class TestNaNRejected:
 
     def test_operator_unitary_and_hermitian(self):
         with pytest.raises(NonUnitaryError):
-            Operator3(self.NAN, unitary=True)
+            Operator3(self.NAN)
 
     def test_apply_unitary(self):
         with pytest.raises(NonUnitaryError):
@@ -213,19 +212,6 @@ class TestNaNRejected:
     def test_state_norm(self):
         with pytest.raises(NormalizationError):
             QutritState([np.nan, 0.0, 0.0])
-
-
-class TestTolerance:
-    def test_positive_required(self):
-        with pytest.raises(ValueError):
-            Tolerance(entrywise_abs=0.0)
-        with pytest.raises(ValueError):
-            Tolerance(phase_equivalence=-1e-9)
-
-    @pytest.mark.parametrize("field", ["entrywise_abs", "phase_equivalence"])
-    def test_nan_rejected(self, field):
-        with pytest.raises(ValueError):
-            Tolerance(**{field: float("nan")})
 
 
 class TestSerialization:
