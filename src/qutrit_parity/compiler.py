@@ -19,7 +19,6 @@ import numpy as np
 from .core import DIM, PHASE_TOL, Operator3, _frozen
 from .permutations import NAMED_MAPS, fourier, unitary_of
 from .spin import (
-    GradientEvent,
     HamiltonianParams,
     Pulse,
     VirtualZ,
@@ -64,9 +63,6 @@ def sequence_propagator(events, params: HamiltonianParams | None = None) -> Oper
     """Ordered product of event propagators, rightmost factor earliest."""
     u = np.eye(DIM, dtype=complex)
     for event in events:
-        if isinstance(event, GradientEvent):
-            raise ValueError("gradients are non-unitary; not allowed in a "
-                             "sequence propagator")
         u = event_propagator(event, params).entries @ u
     return Operator3(u)
 

@@ -33,20 +33,18 @@ DEFAULT_DWELL = 1.0 / 4000.0
 DEFAULT_PEAK_THRESHOLD = 0.1
 
 
-class EmptySpectrumError(ValueError):
-    line12 = line23 = 0.0  # no signal, so no line
-
-
 class UnclassifiableSpectrumError(ValueError):
     """Line pattern matches neither the even nor the odd signature."""
 
     def __init__(self, line12: float, line23: float):
-        super().__init__(
-            f"spectrum matches neither parity signature "
-            f"(line12 = {line12:.6g}, line23 = {line23:.6g})"
-        )
-        self.line12 = line12
-        self.line23 = line23
+        super().__init__(f"spectrum matches neither parity signature "
+                         f"(line12 = {line12:.6g}, line23 = {line23:.6g})")
+        self.line12, self.line23 = line12, line23
+
+
+class EmptySpectrumError(UnclassifiableSpectrumError):
+    line12 = line23 = 0.0  # no signal or no peak, so no line
+    __init__ = ValueError.__init__  # takes a message, not the two lines
 
 
 @dataclass(frozen=True)
@@ -55,11 +53,14 @@ class FID:
     dwell: float  # seconds per sample
 
     def __post_init__(self):
-        n = len(self.samples)
-        if n < 2 or n & (n - 1):
-            raise ValueError(f"sample count must be a power of two >= 2, got {n}")
-        if self.dwell <= 0:
-            raise ValueError(f"dwell must be positive, got {self.dwell}")
+        _check_sampling(len(self.samples), self.dwell)
+
+
+def _check_sampling(n: int, dwell: float):
+    """Raise ValueError unless n is a power of two >= 2 and dwell > 0."""
+    if n < 2 or n & (n - 1) or not dwell > 0:
+        raise ValueError(f"need n samples, a power of two >= 2, and dwell > 0; "
+                         f"got n = {n}, dwell = {dwell}")
 
 
 @dataclass(frozen=True)
@@ -97,12 +98,26 @@ def detection_events(flip_deg: float) -> list:
 
 
 def detect(rho: DensityMatrix, flip_deg: float) -> DensityMatrix:
-    """detection_events on one density matrix; a 0-degree flip is no pulse."""
+    """detection_events on one density matrix."""
+    u = pulse_propagator(detection_events(flip_deg)[1]).entries
     m = np.diag(np.diag(rho.entries))  # the g2 crusher, as in run_pulse_batch
-    if flip_deg != 0.0:
-        u = pulse_propagator(detection_events(flip_deg)[1]).entries
-        m = u @ m @ u.conj().T
-    return DensityMatrix(m, rho.kind)
+    return DensityMatrix(u @ m @ u.conj().T, rho.kind)
+
+
+def check_acquisition(p: HamiltonianParams, r: RelaxationParams, n: int,
+                      dwell: float) -> tuple[float, float]:
+    """The line offsets (nu12, nu23) in Hz; ValueError unless n samples at dwell
+    hold both lines in a finite window +-1/(2 dwell) and the T2 decay over them."""
+    _check_sampling(n, dwell)
+    nu12, nu23 = transition_frequencies(p)
+    nyquist, needed = 1.0 / (2.0 * dwell), max(abs(nu12), abs(nu23))
+    if not needed < nyquist < np.inf:
+        raise ValueError(f"need finite bandwidth > {2 * needed:g} Hz for lines at "
+                         f"+-{needed:g} Hz, got window +-{nyquist:g} Hz (dwell {dwell:g} s)")
+    if not n * dwell / r.t2 < np.inf:  # else exp(-t / T2) overflows
+        raise ValueError(f"T2 = {r.t2:g} s decay over {n} samples of {dwell:g} s "
+                         "is not representable")
+    return nu12, nu23
 
 
 def synthesize_fid(rho: DensityMatrix, p: HamiltonianParams, r: RelaxationParams,
@@ -112,16 +127,7 @@ def synthesize_fid(rho: DensityMatrix, p: HamiltonianParams, r: RelaxationParams
     Coherence pickup is lower-triangular: c12 = rho[2,1] and c23 = rho[3,2]
     in 1-based level indices, both transitions weighted equally.
     """
-    if n < 2 or n & (n - 1):
-        raise ValueError(f"sample count must be a power of two >= 2, got {n}")
-    nu12, nu23 = transition_frequencies(p)
-    nyquist = 1.0 / (2.0 * dwell)
-    needed = max(abs(nu12), abs(nu23))
-    if needed >= nyquist:
-        raise ValueError(
-            f"spectral window +-{nyquist:g} Hz too narrow for the "
-            f"+-{needed:g} Hz transitions; need bandwidth > {2 * needed:g} Hz"
-        )
+    nu12, nu23 = check_acquisition(p, r, n, dwell)
     c12, c23 = complex(rho.entries[1, 0]), complex(rho.entries[2, 1])
     tone12, tone23, decay = _tones(nu12, nu23, r.t2, n, dwell)
     # scalar first: numpy rounds c * arr and arr * c differently for complex

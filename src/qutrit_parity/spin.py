@@ -35,7 +35,7 @@ class HamiltonianParams:
 
     def __post_init__(self):
         if not math.isfinite(self.lambda_q):
-            raise ValueError("lambda_q must be finite")
+            raise ValueError(f"lambda_q must be finite, got {self.lambda_q}")
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,18 @@
 import dataclasses
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qutrit_parity
 from qutrit_parity import cli, spectro, spin
@@ -278,8 +284,11 @@ class TestInputContract:
         ["--seed", "-1"],
         ["--n", str(2**50)],  # its FID would not fit in memory
         ["--lambda-q-hz", "1e308"],  # 2 pi lambda_q_hz overflows to inf
+        ["--dwell-s", "1e-320"],  # the window +-1/(2 dwell_s) overflows to inf
+        ["--t1-s", "1e-320", "--t2-s", "1e-320"],  # t / T2 overflows over the FID
     ], ids=["t2-above-2t1", "lines-outside-window", "flip-above-360",
-            "sigma-above-360", "negative-seed", "n-above-2**20", "lambda-overflows"])
+            "sigma-above-360", "negative-seed", "n-above-2**20", "lambda-overflows",
+            "dwell-subnormal", "t2-subnormal"])
     def test_physical_config_error_exit_1_without_traceback(self, tmp_path, argv):
         proc = subprocess.run(
             [sys.executable, "-m", "qutrit_parity.cli", "run", *argv,
@@ -289,6 +298,41 @@ class TestInputContract:
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "run_record.json").exists()
+
+
+#: float flag values at the edges of what a double holds, mixed with any float and
+#: with the physical range
+FLOAT_VALUES = st.one_of(
+    st.sampled_from([0.0, -1.0, 5e-324, 1e-320, 1e-300, 1e308, math.nan, math.inf]),
+    st.floats(), st.floats(1e-4, 1e3))
+FLOAT_FLAGS = ["--lambda-q-hz", "--t1-s", "--t2-s", "--detection-flip-deg", "--dwell-s",
+               "--noise-sigma-deg"]
+#: an n that validate accepts runs, so those stay <= 2**14; the larger ones are rejected
+N_VALUES = st.one_of(st.sampled_from([2**k for k in range(1, 15)]), st.integers(-2**62, 2**14),
+                     st.sampled_from([3 * 2**14, 2**20 + 1, 2**21, 2**50]))
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(flags=st.lists(st.one_of(  # at most 3, so that some of the drawn configs run
+    st.tuples(st.sampled_from(FLOAT_FLAGS), FLOAT_VALUES), st.tuples(st.just("--n"), N_VALUES),
+    st.tuples(st.just("--seed"), st.integers(-2**64, 2**70))), max_size=3))
+@example(flags=[("--dwell-s", 1e-320)])
+@example(flags=[("--t1-s", 1e-320), ("--t2-s", 1e-320)])
+def test_fuzzed_flags_keep_the_exit_contract(tmp_path_factory, flags):
+    """Any flag values: exit 0, 1 with "error:", or 2; no traceback, no warning."""
+    argv = ["run", "--output-dir", str(tmp_path_factory.getbasetemp() / "fuzz")]
+    argv += [f"{flag}={value!r}" for flag, value in flags]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("error")
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    if code == 1:
+        assert "error:" in err.getvalue(), argv
+    assert "Traceback" not in err.getvalue(), argv
 
 
 #: a non-default value and the command-line flag of every RunConfig field

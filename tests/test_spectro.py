@@ -11,13 +11,19 @@ from qutrit_parity.spectro import (
     UnclassifiableSpectrumError,
     classify_spectrum,
     detect,
+    detection_events,
     fid_to_text,
     pick_peaks,
     spectrum_to_text,
     synthesize_fid,
     transform,
 )
-from qutrit_parity.spin import HamiltonianParams, RelaxationParams, transition_frequencies
+from qutrit_parity.spin import (
+    HamiltonianParams,
+    RelaxationParams,
+    run_pulse_program,
+    transition_frequencies,
+)
 
 PARAMS = HamiltonianParams(lambda_q=2 * np.pi * 156.0)
 RELAX = RelaxationParams(0.170, 0.050)
@@ -34,10 +40,17 @@ def single_coherence(c23=1.0, c12=0.0):
 
 
 class TestDetect:
-    def test_zero_flip_only_crushes(self):
-        rho = single_coherence(c23=0.3)
-        out = detect(rho, 0.0)
-        assert np.array_equal(out.entries, np.zeros((3, 3)))
+    def test_equals_the_engine_detection_step(self):
+        """detect repeats run_pulse_program on detection_events by hand, so the
+        two must agree bit for bit: crusher and pulse, on coherent input."""
+        rng = np.random.default_rng(2024)
+        for _ in range(200):
+            a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+            h = a + a.conj().T
+            rho = DensityMatrix(h - np.trace(h) / 3 * np.eye(3), "deviation")
+            flip = 360.0 - rng.uniform(0.0, 360.0)  # in (0, 360]
+            engine = run_pulse_program(rho, detection_events(flip))
+            assert np.array_equal(detect(rho, flip).entries, engine.entries)
 
     def test_even_branch_dominant_23_coherence(self):
         out = detect(EVEN_DEVIATION, 30.0)
