@@ -24,6 +24,7 @@ import numpy as np
 from . import compiler, spectro, spin
 from .core import DensityMatrix
 from .permutations import (
+    NAMED_MAPS,
     CauchyParseError,
     PermutationMap,
     name_of,
@@ -206,7 +207,7 @@ def cmd_run(cfg: RunConfig) -> int:
         trace = run_parity_algorithm(perm)
         record["trace"] = trace.to_record()
         record["verdict"] = trace.verdict.value
-        _write_json(os.path.join(out, "trace.json"), trace.to_record())
+        _write_json(os.path.join(out, "trace.json"), record["trace"])
         _write_json(os.path.join(out, "run_record.json"), record)
         print(f"{name_of(perm)}: verdict {trace.verdict.value} "
               f"(global phase {trace.global_phase:+.6f} rad)")
@@ -236,8 +237,7 @@ def cmd_run(cfg: RunConfig) -> int:
 def cmd_sweep(cfg: RunConfig, repetitions: int = 1) -> int:
     lines = ["permutation\trep\tverdict\tline12\tline23\tmatch"]
     correct, total = 0, 6 * repetitions
-    for index, name in enumerate(f"f{k}" for k in range(1, 7)):
-        perm = resolve(name)
+    for index, (name, perm) in enumerate(NAMED_MAPS.items()):
         expected = parity_by_counting(perm)
         _, rhos = run_pulse_experiment(
             cfg, perm, [[cfg.seed, index, rep] for rep in range(repetitions)])
@@ -262,12 +262,10 @@ def cmd_sweep(cfg: RunConfig, repetitions: int = 1) -> int:
 
 def cmd_compile(gate: str, output_dir: str) -> int:
     seq = compiler.compile_gate(gate)
-    report = compiler.verify(seq)
     record = seq.to_record()
-    record["worst_entry"] = report.worst_entry
+    record["worst_entry"] = seq.worst_entry
     _write_json(os.path.join(output_dir, f"{gate}_sequence.json"), record)
-    print(f"{gate}: fidelity {report.fidelity:.12f}, "
-          f"phase_exact {report.phase_exact}")
+    print(f"{gate}: fidelity {seq.fidelity:.12f}, phase_exact {seq.phase_exact}")
     return 0
 
 

@@ -1,10 +1,10 @@
-"""Compile named gates to pulse sequences and verify them up to global phase.
+"""Compile named gates to pulse sequences, each measured up to global phase.
 
 Bare 180-degree selective pulses realize swaps only up to a sub-block phase
 (-i on the driven block), so every compiled sequence carries virtual-z
 corrections that make the propagator phase-exact. The Fourier gate uses the
 three-pulse sequence (270)@23, (109.47)@12, (90)@23 whose diagonal frame
-corrections are solved in closed form at compile time.
+corrections are read off in closed form at compile time.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DIM, PHASE_TOL, Operator3, _frozen
-from .permutations import NAMED_MAPS, fourier, unitary_of
+from .permutations import FOURIER3, NAMED_MAPS, unitary_of
 from .spin import (
     HamiltonianParams,
     Pulse,
@@ -30,7 +30,7 @@ from .spin import (
 #: 109.47 degrees, stored exactly as the arccos rather than the decimal
 MAGIC_FLIP_DEG = math.degrees(math.acos(-1.0 / 3.0))
 
-_F3 = _frozen(fourier(3))
+_F3 = FOURIER3.entries
 
 
 class UnknownGateError(ValueError):
@@ -44,6 +44,8 @@ class CompiledSequence:
     events: tuple
     fidelity: float
     phase_exact: bool
+    #: largest entry deviation from the target once the global phase is removed
+    worst_entry: float
 
     def to_record(self) -> dict:
         return {
@@ -67,25 +69,15 @@ def sequence_propagator(events, params: HamiltonianParams | None = None) -> Oper
     return Operator3(u)
 
 
-def _diagonal_frame_correction(achieved: np.ndarray, target: np.ndarray):
-    """Solve target = diag(e^{ia}) @ achieved @ diag(e^{ib}), if possible.
-
-    Requires every entry magnitude to match; returns (a, b) phase vectors or
-    None. Only handles matrices with all entries nonzero (the Fourier case).
-    """
-    tol = 1e-9
-    if np.min(np.abs(achieved)) < tol or np.min(np.abs(target)) < tol:
-        return None
-    if np.max(np.abs(np.abs(achieved) - np.abs(target))) > tol:
-        return None
-    ang = np.angle(target / achieved)
-    residual = ang - ang[:, [0]] - ang[[0], :] + ang[0, 0]
-    residual = (residual + np.pi) % (2 * np.pi) - np.pi
-    if np.max(np.abs(residual)) > tol:
-        return None
-    a = ang[:, 0] - ang[0, 0]
-    b = ang[0, :]
-    return a, b
+def _measured(name: str, target: np.ndarray, events: tuple) -> CompiledSequence:
+    """The sequence with its fidelity, phase exactness and worst entry, all
+    read off one achieved propagator."""
+    achieved = sequence_propagator(events).entries
+    fid = fidelity(target, achieved)
+    tr = np.trace(target.conj().T @ achieved)
+    aligned = achieved * np.exp(-1j * np.angle(tr)) if abs(tr) > 0 else achieved
+    return CompiledSequence(name, target, events, fid, fid >= 1.0 - PHASE_TOL,
+                            float(np.max(np.abs(aligned - target))))
 
 
 def _phases_to_virtualz(phases: np.ndarray) -> list:
@@ -114,12 +106,11 @@ def _fourier_events() -> list:
         Pulse("transition12", MAGIC_FLIP_DEG, 270.0, duration_s=4e-3),  # -y
         Pulse("transition23", 90.0, 270.0, duration_s=4e-3),  # -y
     ]
-    u_lit = sequence_propagator(pulses).entries
-    corr = _diagonal_frame_correction(u_lit, _F3)
-    if corr is None:  # cannot happen for the shipped skeleton
-        raise RuntimeError("Fourier pulse skeleton lost its frame-correctable form")
-    a, b = corr
-    return _phases_to_virtualz(b) + pulses + _phases_to_virtualz(a)
+    # every entry of the skeleton's propagator has F's magnitude, so
+    # F = diag(e^{ia}) @ U @ diag(e^{ib}) with the phases read off row and column 0
+    ang = np.angle(_F3 / sequence_propagator(pulses).entries)
+    return (_phases_to_virtualz(ang[0, :]) + pulses
+            + _phases_to_virtualz(ang[:, 0] - ang[0, 0]))
 
 
 def invert_events(events) -> list:
@@ -167,27 +158,7 @@ def compile_gate(name: str) -> CompiledSequence:
     if name not in _GATES:
         raise UnknownGateError(f"unknown gate {name!r}; known: {', '.join(GATE_NAMES)}")
     target, build = _GATES[name]
-    events = tuple(build())
-    fid = fidelity(target, sequence_propagator(events).entries)
-    return CompiledSequence(name, target, events, fid, phase_exact=fid >= 1.0 - PHASE_TOL)
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    fidelity: float
-    phase_exact: bool
-    worst_entry: float
-
-
-def verify(seq: CompiledSequence) -> VerificationReport:
-    """Recompute the achieved propagator and its distance to the target."""
-    achieved = sequence_propagator(seq.events).entries
-    target = seq.target
-    fid = fidelity(target, achieved)
-    tr = np.trace(np.asarray(target).conj().T @ achieved)
-    aligned = achieved * np.exp(-1j * np.angle(tr)) if abs(tr) > 0 else achieved
-    worst = float(np.max(np.abs(aligned - target)))
-    return VerificationReport(fid, fid >= 1.0 - PHASE_TOL, worst)
+    return _measured(name, target, tuple(build()))
 
 
 # --- template optimization --------------------------------------------------
@@ -287,7 +258,5 @@ def optimize_sequence(template: SequenceTemplate, target: np.ndarray,
         if best_val <= 1e-12 or evals >= budget:
             break
 
-    events = tuple(template.bind(best_x))
-    fid = 1.0 - best_val
-    return CompiledSequence("optimized", np.asarray(target, dtype=complex),
-                            events, fid, phase_exact=fid >= 1.0 - PHASE_TOL)
+    return _measured("optimized", np.asarray(target, dtype=complex),
+                     tuple(template.bind(best_x)))

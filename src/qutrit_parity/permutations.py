@@ -1,12 +1,12 @@
 """Permutations of the qutrit levels, their unitaries, and the parity algorithm.
 
 The six bijections of the label set {+1, 0, -1} are named f1..f6 (f1..f3 even,
-f4..f6 odd). Their 3x3 permutation matrices U1..U6 are kept verbatim from the
-standard presentation; note that under the column-as-input convention the U2/U3
-matrices correspond to the inverse maps of f2/f3. Parity is invariant under
-inversion, so the algorithm's verdict is unaffected either way; as a
-consequence the matrix of a composition comes out in reversed product order
-(see compose).
+f4..f6 odd). Their permutation matrices U1..U6 are derived from the images in
+the printed convention: row i of Uk holds its 1 in the column of fk's image of
+level i, so under the column-as-input convention U2/U3 are the matrices of the
+inverse maps of f2/f3. Parity is invariant under inversion, so the verdict is
+unaffected either way; as a consequence the matrix of a composition comes out
+in reversed product order (see compose).
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    DIM,
     INDEX_OF_LEVEL,
     LEVEL_OF_INDEX,
     PHASE_TOL,
@@ -91,20 +92,11 @@ NAMED_MAPS = {
     "f6": PermutationMap((-1, 0, 1), "f6"),
 }
 
-_PRINTED_UNITARIES = {
-    "f1": np.eye(3),
-    "f2": np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]], dtype=float),
-    "f3": np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=float),
-    "f4": np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=float),
-    "f5": np.array([[1, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=float),
-    "f6": np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]], dtype=float),
-}
-
-
 #: every bijection of the three labels is a named map
 _BY_IMAGES = {p.images: p for p in NAMED_MAPS.values()}
 
-_UNITARIES = {name: Operator3(u) for name, u in _PRINTED_UNITARIES.items()}
+_UNITARIES = {name: Operator3(np.eye(DIM)[[INDEX_OF_LEVEL[x] for x in p.images]])
+              for name, p in NAMED_MAPS.items()}
 
 
 def name_of(p: PermutationMap) -> str:
@@ -114,11 +106,11 @@ def name_of(p: PermutationMap) -> str:
 def parse_cauchy(text: str) -> PermutationMap:
     """Parse two-row Cauchy notation, e.g. "(1 0 -1 / 0 -1 1)"."""
     body = text.strip()
-    offset = 0
+    offset = len(text) - len(text.lstrip())  # body[i] is text[offset + i]
     if body.startswith("("):
         if not body.endswith(")"):
-            raise CauchyParseError("unbalanced parenthesis", len(text) - 1)
-        offset = text.index("(") + 1
+            raise CauchyParseError("unbalanced parenthesis", offset)
+        offset += 1
         body = body[1:-1]
     if "/" not in body:
         raise CauchyParseError("expected two rows separated by '/'", offset)

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import io
 import json
 import math
@@ -15,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qutrit_parity
-from qutrit_parity import cli, spectro, spin
+from qutrit_parity import cli, compiler, spectro, spin
 from qutrit_parity.cli import ENV_OUTPUT_DIR, ConfigError, RunConfig, load_config, main
 
 
@@ -335,6 +336,54 @@ def test_fuzzed_flags_keep_the_exit_contract(tmp_path_factory, flags):
     assert "Traceback" not in err.getvalue(), argv
 
 
+#: INI section names: the three real ones, near misses and any text
+INI_SECTIONS = st.one_of(st.sampled_from(["run", "acquisition", "noise", "DEFAULT", "",
+                                          "Run", " run", "run]"]), st.text(max_size=8))
+#: a value for any key: the physical range, the edges of a double, the mode and
+#: permutation spellings, and any text; an n the loader accepts stays <= 2**14
+INI_VALUES = st.one_of(
+    st.sampled_from(["gate", "pulse", "f4", "F4", "(1 0 -1 / 0 -1 1)", "(1 0 / 0 1)",
+                     "nan", "-inf", "1e308", "1e-320", "0", "-1", "%(n)s", "%", ""]),
+    FLOAT_VALUES.map(repr), N_VALUES.map(str), st.text(max_size=12))
+SECTION_OF = {f.name: f.metadata["section"] for f in dataclasses.fields(RunConfig)}
+#: known keys, each under its own section's header and half the time set to
+#: its default, so that many documents load and run
+INI_WELL_FORMED = st.lists(st.sampled_from(dataclasses.fields(RunConfig)).flatmap(
+    lambda f: st.tuples(st.just(f.name), st.one_of(st.just(str(f.default)), INI_VALUES))),
+    max_size=4, unique_by=lambda kv: kv[0]).map(lambda keys: [
+        line for section in sorted({SECTION_OF[k] for k, _ in keys})
+        for line in [f"[{section}]"] + [f"{k} = {v}" for k, v in keys
+                                        if SECTION_OF[k] == section]])
+INI_LINES = st.one_of(
+    INI_SECTIONS.map(lambda name: f"[{name}]"),
+    st.tuples(st.one_of(st.sampled_from(sorted(SECTION_OF)), st.text(max_size=6)),
+              st.sampled_from(["=", " = ", ":", " "]), INI_VALUES).map("".join),
+    st.sampled_from(["", "# comment", "; comment", "  indented continuation"]),
+    st.text(max_size=20))
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(lines=st.one_of(INI_WELL_FORMED, st.lists(INI_LINES, max_size=8)))
+@example(lines=["[run]", "mode = gate", "permutation = f4"])
+@example(lines=["[acquisition]", "n = 3"])
+def test_fuzzed_ini_keeps_the_exit_contract(tmp_path_factory, lines):
+    """Any UTF-8 INI text: exit 0, 1 with "error:", or 2; no traceback, no warning."""
+    base = tmp_path_factory.getbasetemp() / "ini-fuzz"
+    base.mkdir(exist_ok=True)
+    path = base / "fuzz.ini"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    # the flag overrides any output_dir the text sets
+    argv = ["run", "--config", str(path), "--output-dir", str(base / "out")]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    assert code in (0, 1, 2), (lines, err.getvalue())
+    if code == 1:
+        assert err.getvalue().startswith("error:"), (lines, err.getvalue())
+    assert "Traceback" not in err.getvalue(), lines
+
+
 #: a non-default value and the command-line flag of every RunConfig field
 FIELD_SETTINGS = {
     "mode": ("--mode", "gate"),
@@ -529,3 +578,16 @@ def test_commands_do_not_import_scipy(tmp_path):
     for name in ("pulse/run_record.json", "gate/trace.json", "sweep/sweep.tsv",
                  "compile/F_sequence.json"):
         assert (tmp_path / name).is_file(), name
+
+
+def test_output_digest_commands_parse():
+    """tools/output_digests.py runs each of its commands with --output-dir .;
+    every one parses, and together they compile every gate. None is run here."""
+    path = Path(__file__).parent.parent / "tools" / "output_digests.py"
+    spec = importlib.util.spec_from_file_location("output_digests", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    parser = cli.build_parser()
+    for args in tool.COMMANDS.values():
+        parser.parse_args([*args, "--output-dir", "."])
+    assert sorted(tool.GATES) == sorted(compiler.GATE_NAMES)

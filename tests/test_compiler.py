@@ -17,7 +17,6 @@ from qutrit_parity.compiler import (
     invert_events,
     optimize_sequence,
     sequence_propagator,
-    verify,
 )
 from qutrit_parity.core import DensityMatrix, QutritState
 from qutrit_parity.permutations import NAMED_MAPS, Parity, run_parity_algorithm
@@ -108,21 +107,51 @@ class TestSequencePropagator:
             sequence_propagator([GradientEvent()])
 
 
+def separate_measurement(seq):
+    """Fidelity, phase exactness and worst entry of a compiled sequence, from
+    a second propagator built apart from the one compile_gate measured."""
+    achieved = sequence_propagator(seq.events).entries
+    target = seq.target
+    fid = fidelity(target, achieved)
+    tr = np.trace(np.asarray(target).conj().T @ achieved)
+    aligned = achieved * np.exp(-1j * np.angle(tr)) if abs(tr) > 0 else achieved
+    worst = float(np.max(np.abs(aligned - target)))
+    return fid, fid >= 1.0 - 1e-9, worst
+
+
+def measurement(seq):
+    return seq.fidelity, seq.phase_exact, seq.worst_entry
+
+
 class TestVerify:
     def test_identity(self):
-        rep = verify(compile_gate("I"))
-        assert rep.fidelity == pytest.approx(1.0)
-        assert rep.worst_entry < 1e-12
+        seq = compile_gate("I")
+        assert seq.fidelity == pytest.approx(1.0)
+        assert seq.worst_entry < 1e-12
 
     def test_compiled_s13_report(self):
-        rep = verify(compile_gate("S13"))
-        assert rep.fidelity >= 1 - 1e-9
-        assert rep.phase_exact
+        seq = compile_gate("S13")
+        assert seq.fidelity >= 1 - 1e-9
+        assert seq.phase_exact
+        assert seq.worst_entry < 1e-12
 
     def test_deterministic(self):
-        a = verify(compile_gate("U2"))
-        b = verify(compile_gate("U2"))
-        assert a == b
+        # __wrapped__ compiles afresh, past the cache
+        assert measurement(compile_gate.__wrapped__("U2")) == measurement(compile_gate("U2"))
+
+    @pytest.mark.parametrize("name", GATE_NAMES)
+    def test_equals_the_separate_measurement(self, name):
+        seq = compile_gate(name)
+        assert measurement(seq) == separate_measurement(seq)
+
+    def test_optimizer_best_effort_equals_the_separate_measurement(self):
+        template = SequenceTemplate(
+            prototypes=({"kind": "virtualz", "target": "level2", "flip_deg": "z"},),
+            params=(FreeParameter("z"),),
+        )
+        seq = optimize_sequence(template, GATE_TARGETS["S12"], budget=300)
+        assert not seq.phase_exact
+        assert measurement(seq) == separate_measurement(seq)
 
 
 class TestInvertEvents:

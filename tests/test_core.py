@@ -14,7 +14,7 @@ from qutrit_parity.core import (
     equal_up_to_global_phase,
     state_to_row,
 )
-from qutrit_parity.permutations import _PRINTED_UNITARIES, fourier
+from qutrit_parity.permutations import NAMED_MAPS, fourier, unitary_of
 
 W = np.exp(2j * np.pi / 3)
 
@@ -42,7 +42,7 @@ class TestApplyUnitary:
 
     def test_u2_roundtrip_on_random_states(self):
         rng = np.random.default_rng(7)
-        u2 = _PRINTED_UNITARIES["f2"]
+        u2 = unitary_of(NAMED_MAPS["f2"]).entries
         for _ in range(20):
             s = random_state(rng)
             back = apply_unitary(apply_unitary(s, u2), u2.conj().T)
@@ -57,7 +57,7 @@ class TestApplyUnitary:
 
     def test_density_matrix_conjugation(self):
         rho = DensityMatrix(np.diag([1.0, 0.0, 0.0]))
-        u4 = _PRINTED_UNITARIES["f4"]
+        u4 = unitary_of(NAMED_MAPS["f4"]).entries
         out = apply_unitary(rho, u4)
         assert np.allclose(out.populations(), [0, 1, 0])
         assert out.kind == "true-state"
@@ -110,7 +110,7 @@ class TestDagger:
         assert np.allclose(dagger(f), f.conj(), atol=0)  # F symmetric, so F^dag = F*
 
     def test_u4_self_adjoint(self):
-        u4 = _PRINTED_UNITARIES["f4"]
+        u4 = unitary_of(NAMED_MAPS["f4"]).entries
         assert np.array_equal(dagger(u4), u4)
 
     def test_involution(self):
@@ -126,7 +126,8 @@ class TestDagger:
 
 class TestInvariants:
     def test_printed_unitaries_and_fourier_are_unitary(self):
-        for name, u in _PRINTED_UNITARIES.items():
+        for name, p in NAMED_MAPS.items():
+            u = unitary_of(p).entries
             assert np.max(np.abs(u @ u.conj().T - np.eye(3))) < 1e-10, name
         f = fourier(3)
         assert np.max(np.abs(f @ f.conj().T - np.eye(3))) < 1e-10

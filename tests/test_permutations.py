@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qutrit_parity.core import QutritState
 from qutrit_parity.permutations import (
@@ -22,6 +24,16 @@ from qutrit_parity.permutations import (
 )
 
 W = np.exp(2j * np.pi / 3)
+
+#: U1..U6 as printed, row by row: the reference the derived matrices must equal
+PRINTED_UNITARIES = {
+    "f1": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    "f2": [[0, 1, 0], [0, 0, 1], [1, 0, 0]],
+    "f3": [[0, 0, 1], [1, 0, 0], [0, 1, 0]],
+    "f4": [[0, 1, 0], [1, 0, 0], [0, 0, 1]],
+    "f5": [[1, 0, 0], [0, 0, 1], [0, 1, 0]],
+    "f6": [[0, 0, 1], [0, 1, 0], [1, 0, 0]],
+}
 
 
 class TestParseCauchy:
@@ -56,6 +68,39 @@ class TestParseCauchy:
         assert resolve("f5") is NAMED_MAPS["f5"]
         assert resolve("(1 0 -1 / 0 -1 1)").images == NAMED_MAPS["f2"].images
 
+    @pytest.mark.parametrize("text", ["  1 0 -1 / 1 x 0", " ( 1 0 -1 / 1 x 0) "])
+    def test_position_counts_leading_whitespace(self, text):
+        with pytest.raises(CauchyParseError) as exc:
+            parse_cauchy(text)
+        assert text[exc.value.position] == "x"
+
+
+#: Cauchy-like text: labels, near-labels and separators, mixed with any text
+CAUCHY_TEXT = st.one_of(
+    st.lists(st.sampled_from(["1", "0", "-1", "+1", "2", "-0", "x", "/", "(", ")", " ",
+                              "\t", "\n", "1/", "/0", "\u3000", "\u0661"]),
+             max_size=14).map("".join),
+    st.text(max_size=30))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(text=CAUCHY_TEXT)
+@example(text="")
+def test_fuzzed_cauchy_text_parses_or_reports_a_position(text):
+    """Any text parses to a named map or raises CauchyParseError at a position
+    inside it; an error about a token points at that token's first character."""
+    try:
+        p = parse_cauchy(text)
+    except CauchyParseError as exc:
+        pos, message = exc.position, str(exc)
+        assert 0 <= pos <= len(text), (text, message)
+        if not message.startswith(("unbalanced", "expected two rows", "top row has 0",
+                                   "bottom row has 0")):
+            assert pos < len(text) and not text[pos].isspace(), (text, message)
+            assert pos == 0 or text[pos - 1].isspace() or text[pos - 1] in "(/", (text, message)
+    else:
+        assert p is NAMED_MAPS[p.name]
+
 
 class TestParity:
     def test_identity_even(self):
@@ -79,6 +124,11 @@ class TestUnitaryOf:
     def test_f4_rows(self):
         expected = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
         assert np.array_equal(unitary_of(NAMED_MAPS["f4"]).entries, expected)
+
+    @pytest.mark.parametrize("name", PRINTED_UNITARIES)
+    def test_derived_from_images_equals_printed(self, name):
+        assert np.array_equal(unitary_of(NAMED_MAPS[name]).entries,
+                              np.array(PRINTED_UNITARIES[name]))
 
     def test_all_are_permutation_matrices(self):
         for p in NAMED_MAPS.values():

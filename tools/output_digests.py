@@ -1,0 +1,86 @@
+"""Print a sha256 digest of everything a fixed set of CLI commands produces.
+
+Each command runs as `python -m qutrit_parity.cli ... --output-dir .` in a
+child process with PYTHONPATH=DIR (default: this repository's src) and a fresh
+temporary working directory. For each command it digests the exit code,
+stdout, stderr without the `wall time` line, and every file written, and it
+prints one `<sha256>  <command>/<file>` line per digest, sorted by name. Two
+source trees produce the same outputs when their listings are identical:
+
+    python tools/output_digests.py --src A/src > a.txt
+    python tools/output_digests.py --src B/src > b.txt
+    diff a.txt b.txt
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+# spelled out rather than imported, so that every source tree runs the same set
+PERMUTATIONS = [f"f{k}" for k in range(1, 7)]
+GATES = ["I", "F", "Finv", "S12", "S23", "S13", "U1", "U2", "U3", "U4", "U5", "U6"]
+NOISY = ["--noise-sigma-deg", "5", "--seed", "3"]
+
+#: command label -> arguments, each run with --output-dir .
+COMMANDS = {
+    **{f"compile-{g}": ["compile", g] for g in GATES},
+    **{f"run-{mode}-{p}": ["run", "--mode", mode, "--permutation", p]
+       for mode in ("gate", "pulse") for p in PERMUTATIONS},
+    **{f"run-pulse-{p}-noisy": ["run", "--permutation", p, *NOISY] for p in PERMUTATIONS},
+    "run-gate-cauchy": ["run", "--mode", "gate", "--permutation", "(1 0 -1 / 0 -1 1)"],
+    "run-gate-noisy": ["run", "--mode", "gate", "--permutation", "f4", *NOISY],
+    "sweep": ["sweep"],
+    "sweep-noisy": ["sweep", "--noise-sigma-deg", "5", "--repeat", "50", "--seed", "1"],
+    "sweep-lambda-3": ["sweep", "--lambda-q-hz", "3"],
+    "sweep-noisy-hires": ["sweep", "--noise-sigma-deg", "5", "--repeat", "3", "--seed", "2",
+                          "--n", "65536"],
+    "sweep-noise-20": ["sweep", "--noise-sigma-deg", "20", "--repeat", "50", "--seed", "4"],
+    "run-lambda-700": ["run", "--lambda-q-hz", "700"],
+    "compile-Q9": ["compile", "Q9"],
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digests(label: str, args: list, src: Path) -> list:
+    """(digest, "<label>/<file>") for the exit code, streams and files of one command."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    with tempfile.TemporaryDirectory(prefix="digests-") as cwd:
+        proc = subprocess.run([sys.executable, "-m", "qutrit_parity.cli", *args,
+                               "--output-dir", "."],
+                              cwd=cwd, env=env, capture_output=True, timeout=600)
+        stderr = b"".join(line for line in proc.stderr.splitlines(keepends=True)
+                          if not line.startswith(b"wall time"))
+        out = [(_sha256(str(proc.returncode).encode()), f"{label}/exit"),
+               (_sha256(proc.stdout), f"{label}/stdout"),
+               (_sha256(stderr), f"{label}/stderr")]
+        for path in sorted(Path(cwd).rglob("*")):
+            if path.is_file():
+                out.append((_sha256(path.read_bytes()),
+                            f"{label}/{path.relative_to(cwd).as_posix()}"))
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", type=Path,
+                        default=Path(__file__).resolve().parent.parent / "src",
+                        help="directory that holds the qutrit_parity package")
+    args = parser.parse_args(argv)
+    src = args.src.resolve()
+    found = [pair for label, cmd in COMMANDS.items() for pair in digests(label, cmd, src)]
+    found.sort(key=lambda pair: pair[1])
+    print("\n".join(f"{digest}  {name}" for digest, name in found))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
