@@ -184,15 +184,6 @@ def run_pulse_experiment(cfg: RunConfig, p: PermutationMap, seeds):
         spin.thermal_deviation(), events, flips, cfg.hamiltonian())
 
 
-def read_out(cfg: RunConfig, rho: np.ndarray):
-    """FID, spectrum and readout of one detected deviation, a row of the batch."""
-    params = cfg.hamiltonian()
-    fid = spectro.synthesize_fid(DensityMatrix(rho, "deviation"), params, cfg.relaxation(),
-                                 cfg.n, cfg.dwell_s)
-    spectrum = spectro.transform(fid)
-    return fid, spectrum, spectro.classify_spectrum(spectro.pick_peaks(spectrum), params)
-
-
 def cmd_run(cfg: RunConfig) -> int:
     started = time.monotonic()
     perm = resolve(cfg.permutation)
@@ -213,18 +204,23 @@ def cmd_run(cfg: RunConfig) -> int:
               f"(global phase {trace.global_phase:+.6f} rad)")
     else:
         program, rhos = run_pulse_experiment(cfg, perm, [cfg.seed])
+        acquisition = cfg.hamiltonian(), cfg.relaxation(), cfg.n, cfg.dwell_s
+        line12, line23, empty = spectro.read_lines(rhos, *acquisition)
         try:
-            fid, spectrum, readout = read_out(cfg, rhos[0])
+            if empty:
+                raise spectro.EmptySpectrumError(empty[0])
+            readout = spectro.classify_lines(line12.item(), line23.item())
         except spectro.UnclassifiableSpectrumError as exc:
             print(f"unclassifiable: {exc}", file=sys.stderr)
             return 2
+        fid = spectro.synthesize_fid(DensityMatrix(rhos[0], "deviation"), *acquisition)
         record["pulse_program"] = spin.program_to_records(program)
         record["readout"] = readout.to_record()
         record["verdict"] = readout.verdict.value
         _write_json(os.path.join(out, "pulse_program.json"), record["pulse_program"])
         _atomic_write(os.path.join(out, "fid.txt"), spectro.fid_to_text(fid))
         _atomic_write(os.path.join(out, "spectrum.txt"),
-                      spectro.spectrum_to_text(spectrum))
+                      spectro.spectrum_to_text(spectro.transform(fid)))
         _write_json(os.path.join(out, "readout.json"), readout.to_record())
         _write_json(os.path.join(out, "run_record.json"), record)
         print(f"{name_of(perm)}: verdict {readout.verdict.value} "
@@ -241,9 +237,13 @@ def cmd_sweep(cfg: RunConfig, repetitions: int = 1) -> int:
         expected = parity_by_counting(perm)
         _, rhos = run_pulse_experiment(
             cfg, perm, [[cfg.seed, index, rep] for rep in range(repetitions)])
-        for rep, rho in enumerate(rhos):
-            try:  # unpacked: the live last spectrum halves n = 65536 page faults
-                _, _, readout = read_out(cfg, rho)
+        line12, line23, _ = spectro.read_lines(rhos, cfg.hamiltonian(), cfg.relaxation(),
+                                               cfg.n, cfg.dwell_s)
+        # a row with no peak reads 0.0 in both lines, as its EmptySpectrumError
+        # does, so classify_lines alone writes its row
+        for rep, (l12, l23) in enumerate(zip(line12.tolist(), line23.tolist())):
+            try:
+                readout = spectro.classify_lines(l12, l23)
             except spectro.UnclassifiableSpectrumError as exc:
                 lines.append(f"{name}\t{rep}\tunclassifiable\t{exc.line12!r}\t"
                              f"{exc.line23!r}\tFalse")

@@ -32,6 +32,13 @@ DEFAULT_DWELL = 1.0 / 4000.0
 #: 10% single-line dominance rule (even parity) reads it too, as the two must match
 DEFAULT_PEAK_THRESHOLD = 0.1
 
+#: read_lines synthesizes and transforms rows in chunks of at most this many
+#: bytes per complex array (one row at least): 8 rows at n = 4096
+CHUNK_BYTES = 512 * 1024
+
+#: EmptySpectrumError messages of pick_peaks and of classify_spectrum
+NO_SIGNAL, NO_PEAKS = "spectrum has no signal", "no peaks to classify"
+
 
 class UnclassifiableSpectrumError(ValueError):
     """Line pattern matches neither the even nor the odd signature."""
@@ -127,11 +134,21 @@ def synthesize_fid(rho: DensityMatrix, p: HamiltonianParams, r: RelaxationParams
     Coherence pickup is lower-triangular: c12 = rho[2,1] and c23 = rho[3,2]
     in 1-based level indices, both transitions weighted equally.
     """
-    nu12, nu23 = check_acquisition(p, r, n, dwell)
-    c12, c23 = complex(rho.entries[1, 0]), complex(rho.entries[2, 1])
-    tone12, tone23, decay = _tones(nu12, nu23, r.t2, n, dwell)
-    # scalar first: numpy rounds c * arr and arr * c differently for complex
-    return FID((c12 * tone12 + c23 * tone23) * decay, dwell)
+    tones = _tones(*check_acquisition(p, r, n, dwell), r.t2, n, dwell)
+    samples = np.empty((1, n), complex)
+    _fid_rows(rho.entries[None], tones, samples, np.empty_like(samples))
+    return FID(samples[0], dwell)
+
+
+def _fid_rows(rhos: np.ndarray, tones, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """synthesize_fid's samples for each row of an (R, 3, 3) stack, written into
+    the (R, n) array out; scratch is an (R, n) work array."""
+    tone12, tone23, decay = tones
+    # coefficient first: numpy rounds c * arr and arr * c differently for complex
+    np.multiply(rhos[:, 1, 0, None], tone12, out=out)
+    np.multiply(rhos[:, 2, 1, None], tone23, out=scratch)
+    np.add(out, scratch, out=out)
+    return np.multiply(out, decay, out=out)
 
 
 @functools.lru_cache(maxsize=4)
@@ -164,6 +181,18 @@ def _frequency_axis(n: int, dwell: float) -> np.ndarray:
     return _frozen(freqs)
 
 
+def _is_peak(alpha, beta, gamma, floor):
+    """Where magnitude beta, between alpha and gamma, is a local maximum at or above floor."""
+    return (beta >= floor) & (beta >= alpha) & (beta > gamma)
+
+
+def _vertex(alpha, beta, gamma, where=True):
+    """Three-point parabolic vertex offset in bins, 0 outside `where`. At a peak
+    (_is_peak) the denominator is negative and the offset lies in [-1/2, 1/2]."""
+    return np.divide(0.5 * (alpha - gamma), alpha - 2.0 * beta + gamma,
+                     out=np.zeros(np.shape(beta)), where=where)
+
+
 def pick_peaks(s: Spectrum, threshold: float = DEFAULT_PEAK_THRESHOLD) -> list:
     """Local maxima of the absorptive magnitude above threshold * max.
 
@@ -176,18 +205,13 @@ def pick_peaks(s: Spectrum, threshold: float = DEFAULT_PEAK_THRESHOLD) -> list:
     mag = np.abs(absorptive)
     top = float(mag.max(initial=0.0))
     if top == 0.0:
-        raise EmptySpectrumError("spectrum has no signal")
-    floor = threshold * top
+        raise EmptySpectrumError(NO_SIGNAL)
     dnu = s.bin_width
-    inner = mag[1:-1]
-    hits = np.flatnonzero((inner >= floor) & (inner >= mag[:-2]) & (inner > mag[2:])) + 1
+    hits = np.flatnonzero(_is_peak(mag[:-2], mag[1:-1], mag[2:], threshold * top)) + 1
+    freqs = s.frequencies[hits] + _vertex(mag[hits - 1], mag[hits], mag[hits + 1]) * dnu
     peaks = []
-    for i in hits.tolist():
-        alpha, beta, gamma = mag[i - 1], mag[i], mag[i + 1]
-        denom = alpha - 2.0 * beta + gamma
-        shift = 0.5 * (alpha - gamma) / denom if denom != 0.0 else 0.0
-        freq = float(s.frequencies[i] + shift * dnu)
-        half = beta / 2.0
+    for i, freq in zip(hits.tolist(), freqs.tolist()):
+        half = mag[i] / 2.0
         lo = i
         while lo > 0 and mag[lo - 1] >= half:
             lo -= 1
@@ -198,6 +222,72 @@ def pick_peaks(s: Spectrum, threshold: float = DEFAULT_PEAK_THRESHOLD) -> list:
     return peaks
 
 
+def read_lines(rhos: np.ndarray, p: HamiltonianParams, r: RelaxationParams,
+               n: int = DEFAULT_POINTS, dwell: float = DEFAULT_DWELL):
+    """(line12, line23, empty) of an (R, 3, 3) stack of detected deviations.
+
+    line12[k] and line23[k] are, bit for bit, the line amplitudes that
+    classify_spectrum(pick_peaks(transform(synthesize_fid(row k)))) measures;
+    empty maps each row whose spectrum holds no peak to the EmptySpectrumError
+    message that path raises, and such a row reads 0.0 in both lines, as the
+    error does. No row's spectrum is built: rows are read in chunks of
+    CHUNK_BYTES per complex array, and only the bins that can hold a peak
+    within the window of a line are examined.
+    """
+    nu12, nu23 = check_acquisition(p, r, n, dwell)
+    tones = _tones(nu12, nu23, r.t2, n, dwell)
+    window = _line_window(nu12, nu23)
+    freqs = _frequency_axis(n, dwell)
+    dnu = float(freqs[1] - freqs[0])
+    # a peak's vertex lies within half a bin of its bin, so only the bins
+    # within window + 2 dnu of a line, less the two edge bins, can qualify;
+    # spectrum bin j is FFT bin (j - (n/2 - 1)) mod n, transform's roll undone
+    near = []
+    for nu in (nu12, nu23):
+        bins = np.flatnonzero(np.abs(freqs - nu) <= window + 2.0 * dnu)
+        bins = bins[(bins > 0) & (bins < n - 1)]
+        with_neighbours = np.arange(bins[0] - 1, bins[-1] + 2) if bins.size else bins
+        near.append((nu, freqs[bins], (with_neighbours - (n // 2 - 1)) % n))
+
+    total = len(rhos)
+    line12, line23 = np.zeros(total), np.zeros(total)
+    empty = {}
+    rows = max(1, min(total, CHUNK_BYTES // (16 * n)))
+    buf, scratch = np.empty((rows, n), complex), np.empty((rows, n), complex)
+    for start in range(0, total, rows):
+        chunk = rhos[start:start + rows]
+        k = len(chunk)
+        fft = _fid_rows(chunk, tones, buf[:k], scratch[:k])
+        np.fft.fft(fft, axis=-1, out=fft)
+        re = fft.real
+        top = np.maximum(re.max(axis=1), -re.min(axis=1))
+        floor = (DEFAULT_PEAK_THRESHOLD * top)[:, None]
+        found = np.zeros(k, bool)
+        for (nu, centre, fft_bins), line in zip(near, (line12, line23)):
+            if not centre.size:
+                continue
+            signed = re[:, fft_bins]
+            mag = np.abs(signed)
+            alpha, beta, gamma = mag[:, :-2], mag[:, 1:-1], mag[:, 2:]
+            peak = _is_peak(alpha, beta, gamma, floor)
+            found |= peak.any(axis=1)
+            freq = centre + _vertex(alpha, beta, gamma, peak) * dnu
+            inside = peak & (np.abs(freq - nu) <= window)
+            best = np.where(inside, beta, -1.0).argmax(axis=1)  # first largest |amplitude|
+            line[start:start + k] = np.where(inside.any(axis=1),
+                                             signed[np.arange(k), best + 1], 0.0)
+        for i in np.flatnonzero(~found).tolist():  # rare: no peak near either line
+            mag = np.abs(np.roll(re[i], n // 2 - 1))  # the whole spectrum
+            if top[i] == 0.0 or not _is_peak(mag[:-2], mag[1:-1], mag[2:], floor[i]).any():
+                empty[start + i] = NO_PEAKS if top[i] else NO_SIGNAL
+    return line12, line23, empty
+
+
+def _line_window(nu12: float, nu23: float) -> float:
+    """Half-width in Hz around each line inside which a peak counts as that line."""
+    return max(0.25 * abs(nu23 - nu12), 1.0)
+
+
 def _line_amplitude(peaks, nu: float, window: float) -> float:
     candidates = [pk for pk in peaks if abs(pk.frequency - nu) <= window]
     if not candidates:
@@ -206,18 +296,22 @@ def _line_amplitude(peaks, nu: float, window: float) -> float:
 
 
 def classify_spectrum(peaks, p: HamiltonianParams) -> ReadoutResult:
+    """classify_lines on the lines of the peaks nearest each transition."""
+    if not peaks:
+        raise EmptySpectrumError(NO_PEAKS)
+    nu12, nu23 = transition_frequencies(p)
+    window = _line_window(nu12, nu23)
+    return classify_lines(_line_amplitude(peaks, nu12, window),
+                          _line_amplitude(peaks, nu23, window))
+
+
+def classify_lines(line12: float, line23: float) -> ReadoutResult:
     """Even: a single dominant line at one transition (the other below 10%
     of it). Odd: comparable lines (ratio within [0.5, 2]) of opposite sign.
 
     Symmetric under a global sign flip and under the sign convention of the
     quadrupolar coupling.
     """
-    if not peaks:
-        raise EmptySpectrumError("no peaks to classify")
-    nu12, nu23 = transition_frequencies(p)
-    window = max(0.25 * abs(nu23 - nu12), 1.0)
-    line12 = _line_amplitude(peaks, nu12, window)
-    line23 = _line_amplitude(peaks, nu23, window)
     a12, a23 = abs(line12), abs(line23)
     if a12 == 0.0 and a23 == 0.0:
         raise UnclassifiableSpectrumError(line12, line23)

@@ -79,6 +79,21 @@ class TestRunPulseMode:
                      "--seed", "2", "--output-dir", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--n", "2"], "no peaks to classify"),  # no bin between the two edge bins
+    (["--lambda-q-hz", "3"], "spectrum matches neither parity signature "
+                             "(line12 = 10.4096, line23 = 99.0141)"),
+    ([], "spectrum has no signal"),  # with the detected deviation replaced by 0
+], ids=["no-peaks", "neither-signature", "no-signal"])
+def test_run_exit_2_names_why_and_writes_nothing(tmp_path, capsys, monkeypatch, argv, message):
+    if not argv:
+        monkeypatch.setattr(cli, "run_pulse_experiment",
+                            lambda cfg, perm, seeds: ([], np.zeros((1, 3, 3), complex)))
+    assert main(["run", *argv, "--output-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"unclassifiable: {message}\n"
+    assert not list(tmp_path.iterdir())
+
+
 class TestErrors:
     def test_bad_permutation_exit_1(self, tmp_path, capsys):
         assert main(["run", "--permutation", "f9(", "--output-dir",

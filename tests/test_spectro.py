@@ -1,19 +1,24 @@
 import numpy as np
 import pytest
 
+from qutrit_parity import cli
 from qutrit_parity.core import DensityMatrix
-from qutrit_parity.permutations import Parity
+from qutrit_parity.permutations import NAMED_MAPS, Parity
 from qutrit_parity.spectro import (
+    CHUNK_BYTES,
+    DEFAULT_POINTS,
     FID,
     _tones,
     EmptySpectrumError,
     Peak,
     UnclassifiableSpectrumError,
+    classify_lines,
     classify_spectrum,
     detect,
     detection_events,
     fid_to_text,
     pick_peaks,
+    read_lines,
     spectrum_to_text,
     synthesize_fid,
     transform,
@@ -243,3 +248,89 @@ def test_text_exports_read_back_exactly(tmp_path):
     assert np.array_equal(f, s.frequencies)
     assert np.array_equal(re + 1j * im, s.amplitudes)
     assert mag.tolist() == [abs(z) for z in s.amplitudes.tolist()]
+
+
+def _detected(repeat, sigma, **fields):
+    """The config and the (6 * repeat, 3, 3) detected rows of a seeded noisy sweep."""
+    cfg = cli.RunConfig(pulse_angle_sigma_deg=sigma, seed=1, **fields)
+    rows = [cli.run_pulse_experiment(cfg, perm, [[1, k, rep] for rep in range(repeat)])[1]
+            for k, perm in enumerate(NAMED_MAPS.values())]
+    return cfg, np.concatenate(rows)
+
+
+def _outcome(read):
+    """(repr line12, repr line23, verdict or (exception type, message)) of a readout."""
+    try:
+        r = read()
+        return repr(r.line12), repr(r.line23), r.verdict
+    except UnclassifiableSpectrumError as exc:
+        return repr(exc.line12), repr(exc.line23), (type(exc), str(exc))
+
+
+def assert_batch_matches_rows(cfg, rhos):
+    """read_lines, then classify_lines, equals the row-by-row spectrum path on every row."""
+    p, r = cfg.hamiltonian(), cfg.relaxation()
+    line12, line23, empty = read_lines(rhos, p, r, cfg.n, cfg.dwell_s)
+    assert line12.shape == line23.shape == (len(rhos),)
+
+    def batch(k):
+        if k in empty:
+            raise EmptySpectrumError(empty[k])
+        return classify_lines(line12[k].item(), line23[k].item())
+
+    for k, rho in enumerate(rhos):
+        fid = synthesize_fid(DensityMatrix(rho, "deviation"), p, r, cfg.n, cfg.dwell_s)
+        row = _outcome(lambda: classify_spectrum(pick_peaks(transform(fid)), p))
+        assert _outcome(lambda: batch(k)) == row, k
+        assert (repr(line12[k].item()), repr(line23[k].item())) == row[:2], k
+    return line12, line23, empty
+
+
+class TestReadLines:
+    """The batch readout is the spectrum path, line for line and verdict for verdict."""
+
+    def test_noisy_sweep_stack(self):
+        cfg, rhos = _detected(200, 20.0)
+        line12, line23, _ = assert_batch_matches_rows(cfg, rhos)
+        verdicts = [_outcome(lambda: classify_lines(a, b))[2]
+                    for a, b in zip(line12.tolist(), line23.tolist())]
+        assert Parity.EVEN in verdicts and Parity.ODD in verdicts
+        assert any(isinstance(v, tuple) for v in verdicts)  # and unclassifiable rows
+
+    def test_scrambled_by_heavy_noise(self):
+        assert_batch_matches_rows(*_detected(30, 90.0))
+
+    @pytest.mark.parametrize("lambda_q_hz", [3.0, 0.1])  # 0.1: the window is clamped to 1 Hz
+    def test_overlapping_lines(self, lambda_q_hz):
+        assert_batch_matches_rows(*_detected(20, 5.0, lambda_q_hz=lambda_q_hz))
+
+    def test_long_acquisition(self):
+        cfg, rhos = _detected(4, 5.0, n=65536)
+        assert_batch_matches_rows(cfg, rhos)
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_minimal_acquisitions_reach_the_edge_bins(self, n):
+        cfg, rhos = _detected(20, 30.0, n=n)
+        _, _, empty = assert_batch_matches_rows(cfg, rhos)
+        if n == 2:  # no bin lies between the two edge bins
+            assert set(empty.values()) == {"no peaks to classify"}
+
+    def test_all_zero_deviation_has_no_signal(self):
+        cfg = cli.RunConfig()
+        _, _, empty = assert_batch_matches_rows(cfg, np.zeros((3, 3, 3), complex))
+        assert empty == {k: "spectrum has no signal" for k in range(3)}
+
+    @pytest.mark.parametrize("rows", ["one", "chunk", "chunk + 1"])
+    def test_chunk_boundaries(self, rows):
+        per_chunk = CHUNK_BYTES // (16 * DEFAULT_POINTS)
+        count = {"one": 1, "chunk": per_chunk, "chunk + 1": per_chunk + 1}[rows]
+        cfg, rhos = _detected(2, 20.0)
+        assert_batch_matches_rows(cfg, rhos[:count])
+
+    def test_rows_read_alike_in_any_chunk(self):
+        cfg, rhos = _detected(3, 20.0)
+        args = cfg.hamiltonian(), cfg.relaxation(), cfg.n, cfg.dwell_s
+        whole = read_lines(rhos, *args)
+        for k in range(len(rhos)):
+            one = read_lines(rhos[k:k + 1], *args)
+            assert (one[0][0], one[1][0]) == (whole[0][k], whole[1][k])
