@@ -326,11 +326,3 @@ class TestReadLines:
         count = {"one": 1, "chunk": per_chunk, "chunk + 1": per_chunk + 1}[rows]
         cfg, rhos = _detected(2, 20.0)
         assert_batch_matches_rows(cfg, rhos[:count])
-
-    def test_rows_read_alike_in_any_chunk(self):
-        cfg, rhos = _detected(3, 20.0)
-        args = cfg.hamiltonian(), cfg.relaxation(), cfg.n, cfg.dwell_s
-        whole = read_lines(rhos, *args)
-        for k in range(len(rhos)):
-            one = read_lines(rhos[k:k + 1], *args)
-            assert (one[0][0], one[1][0]) == (whole[0][k], whole[1][k])

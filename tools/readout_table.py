@@ -37,13 +37,12 @@ def tally(sweep_tsv: str) -> dict:
     return counts
 
 
-def measure(sigma: float, repeat: int, seed: int, n: int = cli.RunConfig.n) -> dict:
-    """tally of `sweep --noise-sigma-deg sigma --repeat repeat --seed seed --n n`."""
+def measure(sigma: float, repeat: int, seed: int) -> dict:
+    """tally of `sweep --noise-sigma-deg sigma --repeat repeat --seed seed`."""
     with tempfile.TemporaryDirectory(prefix="readout-table-") as out:
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(["sweep", "--noise-sigma-deg", repr(float(sigma)), "--repeat",
-                             str(repeat), "--seed", str(seed), "--n", str(n),
-                             "--output-dir", out])
+                             str(repeat), "--seed", str(seed), "--output-dir", out])
         if code not in (0, 2):
             raise RuntimeError(f"sweep at sigma = {sigma} exited {code}")
         return tally((Path(out) / "sweep.tsv").read_text())
@@ -68,9 +67,8 @@ def main(argv=None) -> int:
                         help="pulse-angle noise sigmas in degrees")
     parser.add_argument("--repeat", type=int, default=200, help="runs per permutation")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--n", type=int, default=cli.RunConfig.n, help="FID points")
     args = parser.parse_args(argv)
-    print(table({s: measure(s, args.repeat, args.seed, args.n) for s in args.sigmas}))
+    print(table({s: measure(s, args.repeat, args.seed) for s in args.sigmas}))
     return 0
 
 
