@@ -205,13 +205,9 @@ def cmd_run(cfg: RunConfig) -> int:
     else:
         program, rhos = run_pulse_experiment(cfg, perm, [cfg.seed])
         acquisition = cfg.hamiltonian(), cfg.relaxation(), cfg.n, cfg.dwell_s
-        line12, line23, empty = spectro.read_lines(rhos, *acquisition)
-        try:
-            if empty:
-                raise spectro.EmptySpectrumError(empty[0])
-            readout = spectro.classify_lines(line12.item(), line23.item())
-        except spectro.UnclassifiableSpectrumError as exc:
-            print(f"unclassifiable: {exc}", file=sys.stderr)
+        readout = spectro.read_out(rhos, *acquisition)[0]
+        if isinstance(readout, spectro.UnclassifiableSpectrumError):
+            print(f"unclassifiable: {readout}", file=sys.stderr)
             return 2
         fid = spectro.synthesize_fid(DensityMatrix(rhos[0], "deviation"), *acquisition)
         record["pulse_program"] = spin.program_to_records(program)
@@ -237,20 +233,14 @@ def cmd_sweep(cfg: RunConfig, repetitions: int = 1) -> int:
         expected = parity_by_counting(perm)
         _, rhos = run_pulse_experiment(
             cfg, perm, [[cfg.seed, index, rep] for rep in range(repetitions)])
-        line12, line23, _ = spectro.read_lines(rhos, cfg.hamiltonian(), cfg.relaxation(),
-                                               cfg.n, cfg.dwell_s)
-        # a row with no peak reads 0.0 in both lines, as its EmptySpectrumError
-        # does, so classify_lines alone writes its row
-        for rep, (l12, l23) in enumerate(zip(line12.tolist(), line23.tolist())):
-            try:
-                readout = spectro.classify_lines(l12, l23)
-            except spectro.UnclassifiableSpectrumError as exc:
-                lines.append(f"{name}\t{rep}\tunclassifiable\t{exc.line12!r}\t"
-                             f"{exc.line23!r}\tFalse")
-                continue
-            match = readout.verdict is expected
+        readouts = spectro.read_out(rhos, cfg.hamiltonian(), cfg.relaxation(),
+                                    cfg.n, cfg.dwell_s)
+        for rep, readout in enumerate(readouts):
+            classified = isinstance(readout, spectro.ReadoutResult)
+            match = classified and readout.verdict is expected
             correct += match
-            lines.append(f"{name}\t{rep}\t{readout.verdict.value}\t{readout.line12!r}\t"
+            verdict = readout.verdict.value if classified else "unclassifiable"
+            lines.append(f"{name}\t{rep}\t{verdict}\t{readout.line12!r}\t"
                          f"{readout.line23!r}\t{match}")
     accuracy = correct / total
     lines.append(f"# accuracy = {correct}/{total} = {accuracy!r}")

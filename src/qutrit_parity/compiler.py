@@ -19,6 +19,7 @@ import numpy as np
 from .core import DIM, PHASE_TOL, Operator3, _frozen
 from .permutations import FOURIER3, NAMED_MAPS, unitary_of
 from .spin import (
+    BLANK_RECORD,
     HamiltonianParams,
     Pulse,
     VirtualZ,
@@ -198,10 +199,7 @@ class SequenceTemplate:
 
         events = []
         for proto in self.prototypes:
-            rec = dict(proto)
-            rec.setdefault("phase_deg", 0.0)
-            rec.setdefault("duration_s", 0.0)
-            rec.setdefault("label", "")
+            rec = {**BLANK_RECORD, **proto}
             if rec["kind"] == "pulse":
                 rec["flip_deg"] = resolve(rec["flip_deg"], flip=True)
                 rec["phase_deg"] = resolve(rec["phase_deg"])

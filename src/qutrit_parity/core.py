@@ -13,7 +13,7 @@ DIM = 3
 
 #: spin quantum number m of each basis index
 LEVEL_OF_INDEX = (1, 0, -1)
-INDEX_OF_LEVEL = {1: 0, 0: 1, -1: 2}
+INDEX_OF_LEVEL = {level: i for i, level in enumerate(LEVEL_OF_INDEX)}
 
 
 class NormalizationError(ValueError):

@@ -28,7 +28,7 @@ from .core import (
     state_to_row,
 )
 
-LABELS = (1, 0, -1)
+LABELS = LEVEL_OF_INDEX
 
 
 class Parity(enum.Enum):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityMatrix, _frozen
+from .core import ENTRY_TOL, DensityMatrix, _frozen
 from .permutations import Parity
 from .spin import (
     GradientEvent,
@@ -28,11 +28,11 @@ from .spin import (
 DEFAULT_POINTS = 4096
 DEFAULT_DWELL = 1.0 / 4000.0
 
-#: peaks below this fraction of the strongest line are ignored; classify_spectrum's
+#: peaks below this fraction of the strongest line are ignored; classify_lines'
 #: 10% single-line dominance rule (even parity) reads it too, as the two must match
-DEFAULT_PEAK_THRESHOLD = 0.1
+PEAK_THRESHOLD = 0.1
 
-#: read_lines synthesizes and transforms rows in chunks of at most this many
+#: read_out synthesizes and transforms rows in chunks of at most this many
 #: bytes per complex array (one row at least): 8 rows at n = 4096
 CHUNK_BYTES = 512 * 1024
 
@@ -84,7 +84,6 @@ class Spectrum:
 class Peak:
     frequency: float  # Hz, parabolic-refined
     amplitude: float  # signed absorptive (real) amplitude
-    linewidth: float  # Hz, full width at half maximum
 
 
 @dataclass(frozen=True)
@@ -132,21 +131,32 @@ def synthesize_fid(rho: DensityMatrix, p: HamiltonianParams, r: RelaxationParams
     """Two damped tones from the single-quantum coherences of rho.
 
     Coherence pickup is lower-triangular: c12 = rho[2,1] and c23 = rho[3,2]
-    in 1-based level indices, both transitions weighted equally.
+    in 1-based level indices, both transitions weighted equally. Coherences
+    at rounding level (_coherences) give no signal.
     """
     tones = _tones(*check_acquisition(p, r, n, dwell), r.t2, n, dwell)
     samples = np.empty((1, n), complex)
-    _fid_rows(rho.entries[None], tones, samples, np.empty_like(samples))
+    _fid_rows(*_coherences(rho.entries[None]), tones, samples, np.empty_like(samples))
     return FID(samples[0], dwell)
 
 
-def _fid_rows(rhos: np.ndarray, tones, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """synthesize_fid's samples for each row of an (R, 3, 3) stack, written into
-    the (R, n) array out; scratch is an (R, n) work array."""
+def _coherences(rhos: np.ndarray):
+    """The (R, 1) columns c12 and c23 of an (R, 3, 3) stack, 0 in each row where
+    both are rounding noise: max(|c12|, |c23|) <= ENTRY_TOL * max |row entry|."""
+    c12, c23 = rhos[:, 1, 0, None], rhos[:, 2, 1, None]
+    scale = np.abs(rhos).max(axis=(1, 2))[:, None]
+    silent = np.maximum(np.abs(c12), np.abs(c23)) <= ENTRY_TOL * scale
+    return np.where(silent, 0.0, c12), np.where(silent, 0.0, c23)
+
+
+def _fid_rows(c12: np.ndarray, c23: np.ndarray, tones, out: np.ndarray,
+              scratch: np.ndarray) -> np.ndarray:
+    """synthesize_fid's samples for each row of the (R, 1) coherence columns,
+    written into the (R, n) array out; scratch is an (R, n) work array."""
     tone12, tone23, decay = tones
     # coefficient first: numpy rounds c * arr and arr * c differently for complex
-    np.multiply(rhos[:, 1, 0, None], tone12, out=out)
-    np.multiply(rhos[:, 2, 1, None], tone23, out=scratch)
+    np.multiply(c12, tone12, out=out)
+    np.multiply(c23, tone23, out=scratch)
     np.add(out, scratch, out=out)
     return np.multiply(out, decay, out=out)
 
@@ -193,44 +203,32 @@ def _vertex(alpha, beta, gamma, where=True):
                      out=np.zeros(np.shape(beta)), where=where)
 
 
-def pick_peaks(s: Spectrum, threshold: float = DEFAULT_PEAK_THRESHOLD) -> list:
-    """Local maxima of the absorptive magnitude above threshold * max.
+def pick_peaks(s: Spectrum) -> list:
+    """Local maxima of the absorptive magnitude at or above PEAK_THRESHOLD * max.
 
     Frequencies are refined by three-point parabolic interpolation; signed
     amplitudes are preserved.
     """
-    if not (0.0 < threshold < 1.0):
-        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
     absorptive = s.amplitudes.real
     mag = np.abs(absorptive)
     top = float(mag.max(initial=0.0))
     if top == 0.0:
         raise EmptySpectrumError(NO_SIGNAL)
-    dnu = s.bin_width
-    hits = np.flatnonzero(_is_peak(mag[:-2], mag[1:-1], mag[2:], threshold * top)) + 1
-    freqs = s.frequencies[hits] + _vertex(mag[hits - 1], mag[hits], mag[hits + 1]) * dnu
-    peaks = []
-    for i, freq in zip(hits.tolist(), freqs.tolist()):
-        half = mag[i] / 2.0
-        lo = i
-        while lo > 0 and mag[lo - 1] >= half:
-            lo -= 1
-        hi = i
-        while hi < len(mag) - 1 and mag[hi + 1] >= half:
-            hi += 1
-        peaks.append(Peak(freq, float(absorptive[i]), float((hi - lo + 1) * dnu)))
-    return peaks
+    hits = np.flatnonzero(_is_peak(mag[:-2], mag[1:-1], mag[2:], PEAK_THRESHOLD * top)) + 1
+    freqs = (s.frequencies[hits]
+             + _vertex(mag[hits - 1], mag[hits], mag[hits + 1]) * s.bin_width)
+    return [Peak(f, a) for f, a in zip(freqs.tolist(), absorptive[hits].tolist())]
 
 
-def read_lines(rhos: np.ndarray, p: HamiltonianParams, r: RelaxationParams,
-               n: int = DEFAULT_POINTS, dwell: float = DEFAULT_DWELL):
-    """(line12, line23, empty) of an (R, 3, 3) stack of detected deviations.
+def read_out(rhos: np.ndarray, p: HamiltonianParams, r: RelaxationParams,
+             n: int = DEFAULT_POINTS, dwell: float = DEFAULT_DWELL) -> list:
+    """The readout of each row of an (R, 3, 3) stack of detected deviations.
 
-    line12[k] and line23[k] are, bit for bit, the line amplitudes that
-    classify_spectrum(pick_peaks(transform(synthesize_fid(row k)))) measures;
-    empty maps each row whose spectrum holds no peak to the EmptySpectrumError
-    message that path raises, and such a row reads 0.0 in both lines, as the
-    error does. No row's spectrum is built: rows are read in chunks of
+    Row k's outcome is the ReadoutResult that
+    classify_spectrum(pick_peaks(transform(synthesize_fid(row k)))) returns,
+    or the UnclassifiableSpectrumError (EmptySpectrumError when the spectrum
+    holds no peak) it raises, with the same message and, bit for bit, the
+    same lines. No row's spectrum is built: rows are read in chunks of
     CHUNK_BYTES per complex array, and only the bins that can hold a peak
     within the window of a line are examined.
     """
@@ -252,16 +250,17 @@ def read_lines(rhos: np.ndarray, p: HamiltonianParams, r: RelaxationParams,
     total = len(rhos)
     line12, line23 = np.zeros(total), np.zeros(total)
     empty = {}
+    c12, c23 = _coherences(rhos)
     rows = max(1, min(total, CHUNK_BYTES // (16 * n)))
     buf, scratch = np.empty((rows, n), complex), np.empty((rows, n), complex)
     for start in range(0, total, rows):
-        chunk = rhos[start:start + rows]
-        k = len(chunk)
-        fft = _fid_rows(chunk, tones, buf[:k], scratch[:k])
+        k = min(rows, total - start)
+        fft = _fid_rows(c12[start:start + k], c23[start:start + k], tones,
+                        buf[:k], scratch[:k])
         np.fft.fft(fft, axis=-1, out=fft)
         re = fft.real
         top = np.maximum(re.max(axis=1), -re.min(axis=1))
-        floor = (DEFAULT_PEAK_THRESHOLD * top)[:, None]
+        floor = (PEAK_THRESHOLD * top)[:, None]
         found = np.zeros(k, bool)
         for (nu, centre, fft_bins), line in zip(near, (line12, line23)):
             if not centre.size:
@@ -279,8 +278,9 @@ def read_lines(rhos: np.ndarray, p: HamiltonianParams, r: RelaxationParams,
         for i in np.flatnonzero(~found).tolist():  # rare: no peak near either line
             mag = np.abs(np.roll(re[i], n // 2 - 1))  # the whole spectrum
             if top[i] == 0.0 or not _is_peak(mag[:-2], mag[1:-1], mag[2:], floor[i]).any():
-                empty[start + i] = NO_PEAKS if top[i] else NO_SIGNAL
-    return line12, line23, empty
+                empty[start + i] = EmptySpectrumError(NO_PEAKS if top[i] else NO_SIGNAL)
+    return [empty.get(k) or classify_lines(a, b)
+            for k, (a, b) in enumerate(zip(line12.tolist(), line23.tolist()))]
 
 
 def _line_window(nu12: float, nu23: float) -> float:
@@ -296,32 +296,38 @@ def _line_amplitude(peaks, nu: float, window: float) -> float:
 
 
 def classify_spectrum(peaks, p: HamiltonianParams) -> ReadoutResult:
-    """classify_lines on the lines of the peaks nearest each transition."""
+    """classify_lines on the lines of the peaks nearest each transition; raises
+    the UnclassifiableSpectrumError it returns."""
     if not peaks:
         raise EmptySpectrumError(NO_PEAKS)
     nu12, nu23 = transition_frequencies(p)
     window = _line_window(nu12, nu23)
-    return classify_lines(_line_amplitude(peaks, nu12, window),
-                          _line_amplitude(peaks, nu23, window))
+    readout = classify_lines(_line_amplitude(peaks, nu12, window),
+                             _line_amplitude(peaks, nu23, window))
+    if isinstance(readout, UnclassifiableSpectrumError):
+        raise readout
+    return readout
 
 
-def classify_lines(line12: float, line23: float) -> ReadoutResult:
-    """Even: a single dominant line at one transition (the other below 10%
-    of it). Odd: comparable lines (ratio within [0.5, 2]) of opposite sign.
+def classify_lines(line12: float, line23: float):
+    """The even/odd rule: a ReadoutResult, or the UnclassifiableSpectrumError of
+    lines that match neither signature, returned rather than raised.
 
+    Even: a single dominant line at one transition (the other below 10% of
+    it). Odd: comparable lines (ratio within [0.5, 2]) of opposite sign.
     Symmetric under a global sign flip and under the sign convention of the
     quadrupolar coupling.
     """
     a12, a23 = abs(line12), abs(line23)
     if a12 == 0.0 and a23 == 0.0:
-        raise UnclassifiableSpectrumError(line12, line23)
+        return UnclassifiableSpectrumError(line12, line23)
     big, small = max(a12, a23), min(a12, a23)
     # big > 0 here, so the confidence lies in (0.9, 1] if even, [0.5, 1] if odd
-    if small < DEFAULT_PEAK_THRESHOLD * big:
+    if small < PEAK_THRESHOLD * big:
         return ReadoutResult(Parity.EVEN, line12, line23, 1.0 - small / big)
     if big / small <= 2.0 and line12 * line23 < 0.0:
         return ReadoutResult(Parity.ODD, line12, line23, small / big)
-    raise UnclassifiableSpectrumError(line12, line23)
+    return UnclassifiableSpectrumError(line12, line23)
 
 
 # --- columnar text export ---------------------------------------------------

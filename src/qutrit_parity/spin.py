@@ -232,22 +232,25 @@ def pseudopure_prep_events() -> list:
 
 # --- serialization: flat event records, bit-exact round trip ----------------
 
+#: every field of an event record, each at the value an event without it records
+BLANK_RECORD = {"kind": "", "target": "", "flip_deg": 0.0, "phase_deg": 0.0,
+                "duration_s": 0.0, "label": ""}
+
+
 def event_to_record(event: Event) -> dict:
     if isinstance(event, Pulse):
-        return {"kind": "pulse", "target": event.target,
-                "flip_deg": event.flip_deg, "phase_deg": event.phase_deg,
-                "duration_s": event.duration_s, "label": ""}
-    if isinstance(event, Delay):
-        return {"kind": "delay", "target": "", "flip_deg": 0.0, "phase_deg": 0.0,
-                "duration_s": event.duration_s, "label": ""}
-    if isinstance(event, VirtualZ):
-        return {"kind": "virtualz", "target": f"level{event.level}",
-                "flip_deg": event.angle_deg, "phase_deg": 0.0,
-                "duration_s": 0.0, "label": ""}
-    if isinstance(event, GradientEvent):
-        return {"kind": "gradient", "target": "", "flip_deg": 0.0,
-                "phase_deg": 0.0, "duration_s": 0.0, "label": event.label}
-    raise TypeError(f"unknown event {event!r}")
+        fields = {"kind": "pulse", "target": event.target, "flip_deg": event.flip_deg,
+                  "phase_deg": event.phase_deg, "duration_s": event.duration_s}
+    elif isinstance(event, Delay):
+        fields = {"kind": "delay", "duration_s": event.duration_s}
+    elif isinstance(event, VirtualZ):
+        fields = {"kind": "virtualz", "target": f"level{event.level}",
+                  "flip_deg": event.angle_deg}
+    elif isinstance(event, GradientEvent):
+        fields = {"kind": "gradient", "label": event.label}
+    else:
+        raise TypeError(f"unknown event {event!r}")
+    return {**BLANK_RECORD, **fields}
 
 
 def record_to_event(rec: dict) -> Event:

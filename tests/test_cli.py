@@ -84,7 +84,9 @@ class TestRunPulseMode:
     (["--lambda-q-hz", "3"], "spectrum matches neither parity signature "
                              "(line12 = 10.4096, line23 = 99.0141)"),
     ([], "spectrum has no signal"),  # with the detected deviation replaced by 0
-], ids=["no-peaks", "neither-signature", "no-signal"])
+    # a 360-degree pulse is the identity: no coherence beyond rounding is left
+    (["--detection-flip-deg", "360"], "spectrum has no signal"),
+], ids=["no-peaks", "neither-signature", "no-signal", "identity-detection"])
 def test_run_exit_2_names_why_and_writes_nothing(tmp_path, capsys, monkeypatch, argv, message):
     if not argv:
         monkeypatch.setattr(cli, "run_pulse_experiment",
@@ -554,6 +556,15 @@ def test_unclassifiable_sweep_rows_carry_measured_lines(tmp_path):
         assert float(line12) == pytest.approx(10.41, abs=0.01)
         assert float(line23) == pytest.approx(99.01, abs=0.01)
     assert [row[2] for row in rows[3:]] == ["odd"] * 3
+
+
+def test_sweep_of_a_silent_detection_classifies_nothing(tmp_path):
+    """A 180-degree pulse leaves the crushed, diagonal deviation diagonal."""
+    assert main(["sweep", "--detection-flip-deg", "180", "--output-dir", str(tmp_path)]) == 2
+    rows = [line.split("\t") for line in
+            read(tmp_path / "sweep.tsv").decode().splitlines()[1:]]
+    assert [row[2:] for row in rows[:6]] == [["unclassifiable", "0.0", "0.0", "False"]] * 6
+    assert rows[6] == ["# accuracy = 0/6 = 0.0"]
 
 
 def test_commands_do_not_import_scipy_optimize(tmp_path):

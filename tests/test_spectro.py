@@ -11,14 +11,14 @@ from qutrit_parity.spectro import (
     _tones,
     EmptySpectrumError,
     Peak,
+    ReadoutResult,
     UnclassifiableSpectrumError,
-    classify_lines,
     classify_spectrum,
     detect,
     detection_events,
     fid_to_text,
     pick_peaks,
-    read_lines,
+    read_out,
     spectrum_to_text,
     synthesize_fid,
     transform,
@@ -114,7 +114,9 @@ class TestTransform:
         assert len(peaks) == 1
         assert peaks[0].frequency == pytest.approx(468.0, abs=s.bin_width)
         # Lorentzian FWHM = 1/(pi T2) ~ 6.4 Hz
-        assert peaks[0].linewidth == pytest.approx(1 / (np.pi * RELAX.t2), abs=2 * s.bin_width)
+        absorptive = np.abs(s.amplitudes.real)
+        fwhm = np.count_nonzero(absorptive >= absorptive.max() / 2) * s.bin_width
+        assert fwhm == pytest.approx(1 / (np.pi * RELAX.t2), abs=2 * s.bin_width)
 
     def test_linearity(self):
         rng = np.random.default_rng(4)
@@ -140,35 +142,28 @@ class TestPickPeaks:
         with pytest.raises(EmptySpectrumError):
             pick_peaks(transform(FID(np.zeros(64, complex), 1e-3)))
 
-    def test_threshold_bounds(self):
-        s = transform(synthesize_fid(single_coherence(), PARAMS, RELAX))
-        with pytest.raises(ValueError):
-            pick_peaks(s, threshold=0.0)
-        with pytest.raises(ValueError):
-            pick_peaks(s, threshold=1.0)
-
 
 class TestClassifySpectrum:
     def test_single_line_at_nu23_even(self):
-        r = classify_spectrum([Peak(468.0, 5.0, 6.4)], PARAMS)
+        r = classify_spectrum([Peak(468.0, 5.0)], PARAMS)
         assert r.verdict is Parity.EVEN
         assert r.line23 == 5.0 and r.line12 == 0.0
         assert r.confidence == 1.0
 
     def test_equal_and_opposite_odd(self):
-        peaks = [Peak(-468.0, 4.0, 6.4), Peak(468.0, -4.0, 6.4)]
+        peaks = [Peak(-468.0, 4.0), Peak(468.0, -4.0)]
         r = classify_spectrum(peaks, PARAMS)
         assert r.verdict is Parity.ODD
         assert r.line12 == 4.0 and r.line23 == -4.0
         assert r.confidence == 1.0
 
     def test_same_sign_comparable_unclassifiable(self):
-        peaks = [Peak(-468.0, 4.0, 6.4), Peak(468.0, 4.0, 6.4)]
+        peaks = [Peak(-468.0, 4.0), Peak(468.0, 4.0)]
         with pytest.raises(UnclassifiableSpectrumError):
             classify_spectrum(peaks, PARAMS)
 
     def test_intermediate_ratio_unclassifiable(self):
-        peaks = [Peak(-468.0, 1.0, 6.4), Peak(468.0, -4.0, 6.4)]
+        peaks = [Peak(-468.0, 1.0), Peak(468.0, -4.0)]
         with pytest.raises(UnclassifiableSpectrumError):
             classify_spectrum(peaks, PARAMS)
 
@@ -258,32 +253,30 @@ def _detected(repeat, sigma, **fields):
     return cfg, np.concatenate(rows)
 
 
-def _outcome(read):
+def _outcome(readout):
     """(repr line12, repr line23, verdict or (exception type, message)) of a readout."""
+    verdict = (readout.verdict if isinstance(readout, ReadoutResult)
+               else (type(readout), str(readout)))
+    return repr(readout.line12), repr(readout.line23), verdict
+
+
+def _row_path(rho, cfg):
+    """classify_spectrum(pick_peaks(transform(synthesize_fid(rho)))), or what it raises."""
+    p, r = cfg.hamiltonian(), cfg.relaxation()
+    fid = synthesize_fid(DensityMatrix(rho, "deviation"), p, r, cfg.n, cfg.dwell_s)
     try:
-        r = read()
-        return repr(r.line12), repr(r.line23), r.verdict
+        return classify_spectrum(pick_peaks(transform(fid)), p)
     except UnclassifiableSpectrumError as exc:
-        return repr(exc.line12), repr(exc.line23), (type(exc), str(exc))
+        return exc
 
 
 def assert_batch_matches_rows(cfg, rhos):
-    """read_lines, then classify_lines, equals the row-by-row spectrum path on every row."""
-    p, r = cfg.hamiltonian(), cfg.relaxation()
-    line12, line23, empty = read_lines(rhos, p, r, cfg.n, cfg.dwell_s)
-    assert line12.shape == line23.shape == (len(rhos),)
-
-    def batch(k):
-        if k in empty:
-            raise EmptySpectrumError(empty[k])
-        return classify_lines(line12[k].item(), line23[k].item())
-
-    for k, rho in enumerate(rhos):
-        fid = synthesize_fid(DensityMatrix(rho, "deviation"), p, r, cfg.n, cfg.dwell_s)
-        row = _outcome(lambda: classify_spectrum(pick_peaks(transform(fid)), p))
-        assert _outcome(lambda: batch(k)) == row, k
-        assert (repr(line12[k].item()), repr(line23[k].item())) == row[:2], k
-    return line12, line23, empty
+    """read_out equals the row-by-row spectrum path on every row; its outcomes."""
+    readouts = read_out(rhos, cfg.hamiltonian(), cfg.relaxation(), cfg.n, cfg.dwell_s)
+    assert len(readouts) == len(rhos)
+    for k, (readout, rho) in enumerate(zip(readouts, rhos)):
+        assert _outcome(readout) == _outcome(_row_path(rho, cfg)), k
+    return readouts
 
 
 class TestReadLines:
@@ -291,9 +284,7 @@ class TestReadLines:
 
     def test_noisy_sweep_stack(self):
         cfg, rhos = _detected(200, 20.0)
-        line12, line23, _ = assert_batch_matches_rows(cfg, rhos)
-        verdicts = [_outcome(lambda: classify_lines(a, b))[2]
-                    for a, b in zip(line12.tolist(), line23.tolist())]
+        verdicts = [_outcome(r)[2] for r in assert_batch_matches_rows(cfg, rhos)]
         assert Parity.EVEN in verdicts and Parity.ODD in verdicts
         assert any(isinstance(v, tuple) for v in verdicts)  # and unclassifiable rows
 
@@ -311,14 +302,28 @@ class TestReadLines:
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_minimal_acquisitions_reach_the_edge_bins(self, n):
         cfg, rhos = _detected(20, 30.0, n=n)
-        _, _, empty = assert_batch_matches_rows(cfg, rhos)
+        readouts = assert_batch_matches_rows(cfg, rhos)
         if n == 2:  # no bin lies between the two edge bins
-            assert set(empty.values()) == {"no peaks to classify"}
+            assert {_outcome(r)[2] for r in readouts} == {
+                (EmptySpectrumError, "no peaks to classify")}
 
     def test_all_zero_deviation_has_no_signal(self):
-        cfg = cli.RunConfig()
-        _, _, empty = assert_batch_matches_rows(cfg, np.zeros((3, 3, 3), complex))
-        assert empty == {k: "spectrum has no signal" for k in range(3)}
+        readouts = assert_batch_matches_rows(cli.RunConfig(), np.zeros((3, 3, 3), complex))
+        assert [_outcome(r) for r in readouts] == [
+            ("0.0", "0.0", (EmptySpectrumError, "spectrum has no signal"))] * 3
+
+    def test_rounding_level_coherences_have_no_signal(self):
+        """A detection flip clipped to 360 degrees is the identity, so what
+        coherence its row holds is rounding noise, and it reads no signal."""
+        cfg, rhos = _detected(20, 120.0, detection_flip_deg=330.0)
+        detection = np.concatenate([
+            cli._draw_flips(cfg, cli.build_pulse_program(perm) + detection_events(330.0),
+                            [[1, k, rep] for rep in range(20)])[:, -1]
+            for k, perm in enumerate(NAMED_MAPS.values())])
+        outcomes = [_outcome(r) for r in assert_batch_matches_rows(cfg, rhos)]
+        silent = [k for k, o in enumerate(outcomes)
+                  if o == ("0.0", "0.0", (EmptySpectrumError, "spectrum has no signal"))]
+        assert silent == np.flatnonzero(detection == 360.0).tolist() and silent
 
     @pytest.mark.parametrize("rows", ["one", "chunk", "chunk + 1"])
     def test_chunk_boundaries(self, rows):

@@ -42,6 +42,9 @@ COMMANDS = {
                           "--n", "65536"],
     "sweep-noise-20": ["sweep", "--noise-sigma-deg", "20", "--repeat", "50", "--seed", "4"],
     "run-lambda-700": ["run", "--lambda-q-hz", "700"],
+    **{f"run-pulse-{p}-detect-360": ["run", "--permutation", p, "--detection-flip-deg", "360"]
+       for p in ("f1", "f4")},
+    "sweep-detect-180": ["sweep", "--detection-flip-deg", "180"],
     "compile-Q9": ["compile", "Q9"],
 }
 
