@@ -227,6 +227,11 @@ def cmd_run(cfg: RunConfig) -> int:
 
 
 def cmd_sweep(cfg: RunConfig, repetitions: int = 1) -> int:
+    ignored = [name for name in ("mode", "permutation")
+               if getattr(cfg, name) != getattr(RunConfig, name)]
+    if ignored:
+        print(f"warning: sweep runs all six permutations at the pulse level; "
+              f"{' and '.join(ignored)} ignored", file=sys.stderr)
     lines = ["permutation\trep\tverdict\tline12\tline23\tmatch"]
     correct, total = 0, 6 * repetitions
     for index, (name, perm) in enumerate(NAMED_MAPS.items()):

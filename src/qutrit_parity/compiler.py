@@ -167,12 +167,6 @@ def compile_gate(name: str) -> CompiledSequence:
 @dataclass(frozen=True)
 class FreeParameter:
     name: str
-    lo: float = 0.0
-    hi: float = 360.0
-
-    def __post_init__(self):
-        if not self.hi > self.lo:
-            raise ValueError(f"bounds ({self.lo}, {self.hi}) are not well-ordered")
 
 
 @dataclass(frozen=True)
@@ -192,10 +186,11 @@ class SequenceTemplate:
         def resolve(v, *, flip=False):
             if isinstance(v, str):
                 v = lookup[v]
+            # a v just below 0 wraps to exactly 360.0, a flip but not an angle
+            v = float(v) % 360.0
             if flip:
-                v = float(v) % 360.0
                 return 360.0 if v == 0.0 else v
-            return float(v) % 360.0
+            return 0.0 if v == 360.0 else v
 
         events = []
         for proto in self.prototypes:
@@ -213,10 +208,10 @@ def optimize_sequence(template: SequenceTemplate, target: np.ndarray,
                       budget: int = 10_000) -> CompiledSequence:
     """Maximize gate fidelity over the template's free parameters.
 
-    Deterministic: a fixed seed grid (up to 8 points per parameter) followed
-    by Nelder-Mead refinement from the best grid points, with simplex
-    restarts at the incumbent until the budget runs out or the objective
-    reaches 1e-12 of optimal.
+    Deterministic: the best point of a fixed grid over one turn (8 points
+    per parameter, fewer while the grid exceeds budget // 2, but at least 2),
+    refined by one Nelder-Mead run on the rest of the budget of fidelity
+    evaluations.
     """
     # imported here: scipy.optimize costs every CLI process ~0.15 s, and
     # nothing else in the package needs it
@@ -226,35 +221,17 @@ def optimize_sequence(template: SequenceTemplate, target: np.ndarray,
     if k < 1:
         raise ValueError("template has no free parameters")
 
-    evals = 0
-
     def infidelity(x) -> float:
-        nonlocal evals
-        evals += 1
         achieved = sequence_propagator(template.bind(x)).entries
         return 1.0 - fidelity(target, achieved)
 
     npts = 8
     while npts > 2 and npts ** k > budget // 2:
         npts -= 1
-    axes = [np.linspace(p.lo, p.hi, npts, endpoint=False) for p in template.params]
-    grid = [(infidelity(x), x) for x in itertools.product(*axes)]
-    grid.sort(key=lambda t: t[0])
-
-    best_val, best_x = grid[0][0], np.array(grid[0][1], dtype=float)
-    for _, x0 in grid[:4]:
-        x0 = np.array(x0, dtype=float)
-        while evals < budget and best_val > 1e-12:
-            res = minimize(infidelity, x0, method="Nelder-Mead",
-                           options={"maxfev": max(1, budget - evals),
-                                    "xatol": 1e-10, "fatol": 1e-14})
-            if res.fun < best_val:
-                best_val, best_x = float(res.fun), np.asarray(res.x, dtype=float)
-            if np.allclose(res.x, x0, atol=1e-9):  # restart made no progress
-                break
-            x0 = np.asarray(res.x, dtype=float)
-        if best_val <= 1e-12 or evals >= budget:
-            break
-
+    axis = np.linspace(0.0, 360.0, npts, endpoint=False)
+    x0 = min(itertools.product(axis, repeat=k), key=infidelity)
+    res = minimize(infidelity, x0, method="Nelder-Mead",
+                   options={"maxfev": max(1, budget - npts ** k),
+                            "xatol": 1e-10, "fatol": 1e-14})
     return _measured("optimized", np.asarray(target, dtype=complex),
-                     tuple(template.bind(best_x)))
+                     tuple(template.bind(res.x)))

@@ -322,8 +322,9 @@ def classify_lines(line12: float, line23: float):
     if a12 == 0.0 and a23 == 0.0:
         return UnclassifiableSpectrumError(line12, line23)
     big, small = max(a12, a23), min(a12, a23)
-    # big > 0 here, so the confidence lies in (0.9, 1] if even, [0.5, 1] if odd
-    if small < PEAK_THRESHOLD * big:
+    # big > 0 here, so the confidence lies in (0.9, 1] if even, [0.5, 1] if odd;
+    # small == 0 is even too when PEAK_THRESHOLD * big underflows to 0
+    if small < PEAK_THRESHOLD * big or small == 0.0:
         return ReadoutResult(Parity.EVEN, line12, line23, 1.0 - small / big)
     if big / small <= 2.0 and line12 * line23 < 0.0:
         return ReadoutResult(Parity.ODD, line12, line23, small / big)

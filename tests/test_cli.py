@@ -330,16 +330,22 @@ N_VALUES = st.one_of(st.sampled_from([2**k for k in range(1, 15)]), st.integers(
                      st.sampled_from([3 * 2**14, 2**20 + 1, 2**21, 2**50]))
 
 
-@settings(max_examples=150, derandomize=True, database=None, deadline=None)
-@given(flags=st.lists(st.one_of(  # at most 3, so that some of the drawn configs run
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(command=st.sampled_from(["run", "sweep"]), flags=st.lists(st.one_of(
+    # at most 3, so that some of the drawn configs run
     st.tuples(st.sampled_from(FLOAT_FLAGS), FLOAT_VALUES), st.tuples(st.just("--n"), N_VALUES),
-    st.tuples(st.just("--seed"), st.integers(-2**64, 2**70))), max_size=3))
-@example(flags=[("--dwell-s", 1e-320)])
-@example(flags=[("--t1-s", 1e-320), ("--t2-s", 1e-320)])
-def test_fuzzed_flags_keep_the_exit_contract(tmp_path_factory, flags):
-    """Any flag values: exit 0, 1 with "error:", or 2; no traceback, no warning."""
-    argv = ["run", "--output-dir", str(tmp_path_factory.getbasetemp() / "fuzz")]
+    st.tuples(st.just("--seed"), st.integers(-2**64, 2**70))), max_size=3),
+    repeat=st.integers(0, 3))
+@example(command="run", flags=[("--dwell-s", 1e-320)], repeat=1)
+@example(command="run", flags=[("--t1-s", 1e-320), ("--t2-s", 1e-320)], repeat=1)
+@example(command="sweep", flags=[("--noise-sigma-deg", 360.0), ("--n", 2)], repeat=3)
+def test_fuzzed_flags_keep_the_exit_contract(tmp_path_factory, command, flags, repeat):
+    """Any flag values to run, or to sweep with --repeat <= 3: exit 0, 1 with
+    "error:", or 2; no traceback, no warning."""
+    argv = [command, "--output-dir", str(tmp_path_factory.getbasetemp() / "fuzz")]
     argv += [f"{flag}={value!r}" for flag, value in flags]
+    if command == "sweep":
+        argv.append(f"--repeat={repeat}")
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
         warnings.simplefilter("error")
@@ -565,6 +571,20 @@ def test_sweep_of_a_silent_detection_classifies_nothing(tmp_path):
             read(tmp_path / "sweep.tsv").decode().splitlines()[1:]]
     assert [row[2:] for row in rows[:6]] == [["unclassifiable", "0.0", "0.0", "False"]] * 6
     assert rows[6] == ["# accuracy = 0/6 = 0.0"]
+
+
+@pytest.mark.parametrize("argv", [["--mode", "gate"], ["--permutation", "f4"]],
+                         ids=["mode", "permutation"])
+def test_sweep_warns_that_it_ignores_mode_and_permutation(tmp_path, capsys, argv):
+    """sweep runs all six permutations at the pulse level whatever is set."""
+    assert main(["sweep", "--output-dir", str(tmp_path / "plain")]) == 0
+    plain = capsys.readouterr()
+    assert plain.err == ""
+    assert main(["sweep", *argv, "--output-dir", str(tmp_path / "set")]) == 0
+    warned = capsys.readouterr()
+    assert warned.out == plain.out
+    assert warned.err.startswith("warning: ") and warned.err.count("\n") == 1
+    assert read(tmp_path / "set" / "sweep.tsv") == read(tmp_path / "plain" / "sweep.tsv")
 
 
 def test_commands_do_not_import_scipy_optimize(tmp_path):

@@ -23,6 +23,7 @@ from qutrit_parity.permutations import NAMED_MAPS, Parity, run_parity_algorithm
 from qutrit_parity.spin import (
     GradientEvent,
     Pulse,
+    event_to_record,
     pseudopure_prep_events,
     run_pulse_program,
     thermal_deviation,
@@ -193,7 +194,42 @@ def fourier_template():
     return SequenceTemplate(protos, tuple(FreeParameter(n) for n in names))
 
 
+def freed_template(name):
+    """The compiled gate's events with every pulse phase and virtual-z angle freed."""
+    protos, params = [], []
+    for i, event in enumerate(compile_gate(name).events):
+        rec = event_to_record(event)
+        rec["phase_deg" if isinstance(event, Pulse) else "flip_deg"] = f"x{i}"
+        protos.append(rec)
+        params.append(FreeParameter(f"x{i}"))
+    return SequenceTemplate(tuple(protos), tuple(params))
+
+
+class TestBind:
+    def test_angles_just_below_zero_bind_to_zero(self):
+        """v % 360 is exactly 360.0 for v in about (-2.8e-14, 0)."""
+        pulse, vz1, vz2 = swap_template().bind([-1e-15, -1e-15, -1e-20])
+        assert (pulse.phase_deg, vz1.angle_deg, vz2.angle_deg) == (0.0, 0.0, 0.0)
+
+    def test_flip_of_zero_or_just_below_binds_to_a_full_turn(self):
+        template = SequenceTemplate(
+            prototypes=({"kind": "pulse", "target": "transition12", "flip_deg": "f",
+                         "phase_deg": 0.0},),
+            params=(FreeParameter("f"),),
+        )
+        assert [template.bind([v])[0].flip_deg for v in (0.0, -1e-15, 720.0)] == [360.0] * 3
+
+    def test_angles_wrap_into_one_turn(self):
+        pulse, vz1, vz2 = swap_template().bind([-90.0, 450.0, 360.0])
+        assert (pulse.phase_deg, vz1.angle_deg, vz2.angle_deg) == (270.0, 90.0, 0.0)
+
+
 class TestOptimizeSequence:
+    @pytest.mark.parametrize("name", ["U2", "U3", "U4", "U5", "U6"])
+    def test_recovers_each_oracle_with_every_angle_freed(self, name):
+        seq = optimize_sequence(freed_template(name), GATE_TARGETS[name], budget=2000)
+        assert seq.phase_exact, (name, seq.fidelity)
+
     def test_finds_exact_swap(self):
         seq = optimize_sequence(swap_template(), GATE_TARGETS["S12"])
         assert seq.fidelity >= 1 - 1e-9

@@ -1,11 +1,16 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qutrit_parity import cli
-from qutrit_parity.core import DensityMatrix
+from qutrit_parity.core import ENTRY_TOL, DensityMatrix
 from qutrit_parity.permutations import NAMED_MAPS, Parity
 from qutrit_parity.spectro import (
     CHUNK_BYTES,
+    DEFAULT_DWELL,
     DEFAULT_POINTS,
     FID,
     _tones,
@@ -13,6 +18,7 @@ from qutrit_parity.spectro import (
     Peak,
     ReadoutResult,
     UnclassifiableSpectrumError,
+    classify_lines,
     classify_spectrum,
     detect,
     detection_events,
@@ -166,6 +172,11 @@ class TestClassifySpectrum:
         peaks = [Peak(-468.0, 1.0), Peak(468.0, -4.0)]
         with pytest.raises(UnclassifiableSpectrumError):
             classify_spectrum(peaks, PARAMS)
+
+    def test_single_subnormal_line_even(self):
+        """PEAK_THRESHOLD * 5e-324 underflows to 0, yet one line alone is even."""
+        readout = classify_lines(5e-324, 0.0)
+        assert (readout.verdict, readout.confidence) == (Parity.EVEN, 1.0)
 
     def test_no_peaks_rejected(self):
         with pytest.raises(EmptySpectrumError):
@@ -331,3 +342,67 @@ class TestReadLines:
         count = {"one": 1, "chunk": per_chunk, "chunk + 1": per_chunk + 1}[rows]
         cfg, rhos = _detected(2, 20.0)
         assert_batch_matches_rows(cfg, rhos[:count])
+
+    def test_equal_peaks_in_one_window_read_the_first(self):
+        """c12 = -c23, both real, gives a purely imaginary FID, so the peaks at
+        -nu and +nu have equal |amplitude| and opposite signs. At a 0.15 Hz
+        coupling the window is clamped to 1 Hz and holds both peaks, and each
+        line reads the first of them, the lower in frequency."""
+        cfg = cli.RunConfig(lambda_q_hz=0.15, n=512, dwell_s=0.1, t1_s=5.0, t2_s=5.0)
+        m = np.zeros((3, 3), complex)
+        m[2, 1] = m[1, 2] = 1.0
+        m[1, 0] = m[0, 1] = -1.0
+        fid = synthesize_fid(DensityMatrix(m, "deviation"), cfg.hamiltonian(),
+                             cfg.relaxation(), cfg.n, cfg.dwell_s)
+        low, high = (pk.amplitude for pk in pick_peaks(transform(fid)))
+        assert low == -high < 0
+        [readout] = assert_batch_matches_rows(cfg, m[None])
+        assert readout.line12 == readout.line23 == low
+
+
+#: entry magnitudes at the edges of what a double holds, and ordinary ones
+MAGNITUDES = st.sampled_from([0.0, 5e-324, 1e-300, 1e-12, 1e-3, 1.0, 1e3])
+#: a row's c12 and c23 as a multiple of the ENTRY_TOL floor, or (None) left as drawn
+FLOOR_MULTIPLES = st.one_of(st.none(),
+                            st.sampled_from([0.5, 1.0 - 1e-15, 1.0, 1.0 + 1e-15, 2.0]))
+
+
+@st.composite
+def deviation_stacks(draw):
+    """An (R, 3, 3) stack of Hermitian traceless rows, R <= 20, each scaled by
+    an edge magnitude, some with both coherences near the ENTRY_TOL floor."""
+    rows = draw(st.integers(1, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = np.empty((rows, 3, 3), complex)
+    for row in stack:
+        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        h = (a + a.conj().T) * draw(MAGNITUDES)
+        row[:] = h - np.trace(h) / 3 * np.eye(3)
+        multiple = draw(FLOOR_MULTIPLES)
+        if multiple is not None:
+            largest = np.abs(row).max()
+            for i, j in ((1, 0), (2, 1)):
+                row[i, j] = multiple * ENTRY_TOL * largest * np.exp(2j * np.pi * rng.random())
+                row[j, i] = np.conj(row[i, j])
+    return stack
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(rhos=deviation_stacks(), log2_n=st.integers(1, 14),
+       edge=st.one_of(st.sampled_from([1.0, 1.0 - 2**-52, 1.0 - 1e-9]), st.floats(0.01, 0.999)),
+       t2_scale=st.sampled_from([1.7e308, 1e300, 1e3, 30.0, 5.0, 1.0, 0.1]))
+def test_fuzzed_stacks_read_out_as_the_row_path(rhos, log2_n, edge, t2_scale):
+    """Lines at the fraction `edge` of the window's half-width (1.0: on its
+    edge), and T2 = acquisition time / t2_scale, up to the largest decay a
+    double holds: every row reads out as the row path does, or both raise
+    the same acquisition error."""
+    n, dwell = 2**log2_n, DEFAULT_DWELL
+    t2 = n * dwell / t2_scale
+    cfg = cli.RunConfig(lambda_q_hz=edge / (6.0 * dwell), n=n, dwell_s=dwell, t1_s=t2, t2_s=t2)
+    try:
+        read_out(rhos, cfg.hamiltonian(), cfg.relaxation(), n, dwell)
+    except ValueError as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            _row_path(rhos[0], cfg)
+    else:
+        assert_batch_matches_rows(cfg, rhos)
