@@ -211,15 +211,18 @@ def optimize_sequence(template: SequenceTemplate, target: np.ndarray,
     Deterministic: the best point of a fixed grid over one turn (8 points
     per parameter, fewer while the grid exceeds budget // 2, but at least 2),
     refined by one Nelder-Mead run on the rest of the budget of fidelity
-    evaluations.
+    evaluations. ValueError when even the 2-point grid, 2^k evaluations for
+    k free parameters, leaves none of the budget for the refinement.
     """
-    # imported here: scipy.optimize costs every CLI process ~0.15 s, and
-    # nothing else in the package needs it
-    from scipy.optimize import minimize
-
     k = len(template.params)
     if k < 1:
         raise ValueError("template has no free parameters")
+    if 2 ** k >= budget:
+        raise ValueError(f"{k} free parameters need a grid of 2^{k} = {2 ** k} "
+                         f"fidelity evaluations, not under the budget of {budget}")
+    # imported here: scipy.optimize costs every CLI process ~0.15 s, and
+    # nothing else in the package needs it
+    from scipy.optimize import minimize
 
     def infidelity(x) -> float:
         achieved = sequence_propagator(template.bind(x)).entries
@@ -231,7 +234,7 @@ def optimize_sequence(template: SequenceTemplate, target: np.ndarray,
     axis = np.linspace(0.0, 360.0, npts, endpoint=False)
     x0 = min(itertools.product(axis, repeat=k), key=infidelity)
     res = minimize(infidelity, x0, method="Nelder-Mead",
-                   options={"maxfev": max(1, budget - npts ** k),
+                   options={"maxfev": budget - npts ** k,
                             "xatol": 1e-10, "fatol": 1e-14})
     return _measured("optimized", np.asarray(target, dtype=complex),
                      tuple(template.bind(res.x)))

@@ -9,6 +9,8 @@ convention, so only the pattern is meaningful.
 from __future__ import annotations
 
 import functools
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +37,12 @@ PEAK_THRESHOLD = 0.1
 #: read_out synthesizes and transforms rows in chunks of at most this many
 #: bytes per complex array (one row at least): 8 rows at n = 4096
 CHUNK_BYTES = 512 * 1024
+
+#: read_out spreads its chunks over at most this many threads
+MAX_WORKERS = 4
+
+#: _fid_rows adds the nu23 tone in column blocks of at most this many samples
+SCRATCH_SAMPLES = 4096
 
 #: EmptySpectrumError messages of pick_peaks and of classify_spectrum
 NO_SIGNAL, NO_PEAKS = "spectrum has no signal", "no peaks to classify"
@@ -152,12 +160,16 @@ def _coherences(rhos: np.ndarray):
 def _fid_rows(c12: np.ndarray, c23: np.ndarray, tones, out: np.ndarray,
               scratch: np.ndarray) -> np.ndarray:
     """synthesize_fid's samples for each row of the (R, 1) coherence columns,
-    written into the (R, n) array out; scratch is an (R, n) work array."""
+    written into the (R, n) array out. scratch is an (R, m) work array, m a
+    power of two <= n: the nu23 term is added m columns at a time, which is
+    elementwise and so gives the same bits for any m."""
     tone12, tone23, decay = tones
+    m = scratch.shape[1]
     # coefficient first: numpy rounds c * arr and arr * c differently for complex
     np.multiply(c12, tone12, out=out)
-    np.multiply(c23, tone23, out=scratch)
-    np.add(out, scratch, out=out)
+    for j in range(0, out.shape[1], m):
+        block = out[:, j:j + m]
+        np.add(block, np.multiply(c23, tone23[j:j + m], out=scratch), out=block)
     return np.multiply(out, decay, out=out)
 
 
@@ -231,6 +243,12 @@ def read_out(rhos: np.ndarray, p: HamiltonianParams, r: RelaxationParams,
     same lines. No row's spectrum is built: rows are read in chunks of
     CHUNK_BYTES per complex array, and only the bins that can hold a peak
     within the window of a line are examined.
+
+    The chunks are dealt round-robin to W = min(CPUs in the process's
+    affinity mask, chunks, MAX_WORKERS) workers, the calling thread the
+    first; W = 1 starts no thread. Each chunk is read the same way on any
+    worker, so the outcomes do not depend on W. An error in any worker is
+    raised here once every worker has stopped.
     """
     nu12, nu23 = check_acquisition(p, r, n, dwell)
     tones = _tones(nu12, nu23, r.t2, n, dwell)
@@ -252,35 +270,71 @@ def read_out(rhos: np.ndarray, p: HamiltonianParams, r: RelaxationParams,
     empty = {}
     c12, c23 = _coherences(rhos)
     rows = max(1, min(total, CHUNK_BYTES // (16 * n)))
-    buf, scratch = np.empty((rows, n), complex), np.empty((rows, n), complex)
-    for start in range(0, total, rows):
-        k = min(rows, total - start)
-        fft = _fid_rows(c12[start:start + k], c23[start:start + k], tones,
-                        buf[:k], scratch[:k])
-        np.fft.fft(fft, axis=-1, out=fft)
-        re = fft.real
-        top = np.maximum(re.max(axis=1), -re.min(axis=1))
-        floor = (PEAK_THRESHOLD * top)[:, None]
-        found = np.zeros(k, bool)
-        for (nu, centre, fft_bins), line in zip(near, (line12, line23)):
-            if not centre.size:
-                continue
-            signed = re[:, fft_bins]
-            mag = np.abs(signed)
-            alpha, beta, gamma = mag[:, :-2], mag[:, 1:-1], mag[:, 2:]
-            peak = _is_peak(alpha, beta, gamma, floor)
-            found |= peak.any(axis=1)
-            freq = centre + _vertex(alpha, beta, gamma, peak) * dnu
-            inside = peak & (np.abs(freq - nu) <= window)
-            best = np.where(inside, beta, -1.0).argmax(axis=1)  # first largest |amplitude|
-            line[start:start + k] = np.where(inside.any(axis=1),
-                                             signed[np.arange(k), best + 1], 0.0)
-        for i in np.flatnonzero(~found).tolist():  # rare: no peak near either line
-            mag = np.abs(np.roll(re[i], n // 2 - 1))  # the whole spectrum
-            if top[i] == 0.0 or not _is_peak(mag[:-2], mag[1:-1], mag[2:], floor[i]).any():
-                empty[start + i] = EmptySpectrumError(NO_PEAKS if top[i] else NO_SIGNAL)
+    starts = range(0, total, rows)
+    workers = max(1, min(_cpus(), len(starts), MAX_WORKERS))
+
+    def read_chunks(worker: int):
+        """Chunks worker, worker + W, ...; writes only their rows of line12,
+        line23 and empty."""
+        buf = np.empty((rows, n), complex)
+        scratch = np.empty((rows, min(n, SCRATCH_SAMPLES)), complex)
+        for start in starts[worker::workers]:
+            k = min(rows, total - start)
+            fft = _fid_rows(c12[start:start + k], c23[start:start + k], tones,
+                            buf[:k], scratch[:k])
+            np.fft.fft(fft, axis=-1, out=fft)
+            re = fft.real
+            top = np.maximum(re.max(axis=1), -re.min(axis=1))
+            floor = (PEAK_THRESHOLD * top)[:, None]
+            found = np.zeros(k, bool)
+            for (nu, centre, fft_bins), line in zip(near, (line12, line23)):
+                if not centre.size:
+                    continue
+                signed = re[:, fft_bins]
+                mag = np.abs(signed)
+                alpha, beta, gamma = mag[:, :-2], mag[:, 1:-1], mag[:, 2:]
+                peak = _is_peak(alpha, beta, gamma, floor)
+                found |= peak.any(axis=1)
+                freq = centre + _vertex(alpha, beta, gamma, peak) * dnu
+                inside = peak & (np.abs(freq - nu) <= window)
+                best = np.where(inside, beta, -1.0).argmax(axis=1)  # first largest |amplitude|
+                line[start:start + k] = np.where(inside.any(axis=1),
+                                                 signed[np.arange(k), best + 1], 0.0)
+            for i in np.flatnonzero(~found).tolist():  # rare: no peak near either line
+                mag = np.abs(np.roll(re[i], n // 2 - 1))  # the whole spectrum
+                if top[i] == 0.0 or not _is_peak(mag[:-2], mag[1:-1], mag[2:], floor[i]).any():
+                    empty[start + i] = EmptySpectrumError(NO_PEAKS if top[i] else NO_SIGNAL)
+
+    errors = []
+
+    def work(worker: int):
+        try:
+            read_chunks(worker)
+        except BaseException as exc:  # raised by the caller, after every join
+            errors.append(exc)
+
+    threads = []
+    try:
+        for worker in range(1, workers):
+            thread = threading.Thread(target=work, args=(worker,))
+            thread.start()
+            threads.append(thread)
+        read_chunks(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
     return [empty.get(k) or classify_lines(a, b)
             for k, (a, b) in enumerate(zip(line12.tolist(), line23.tolist()))]
+
+
+def _cpus() -> int:
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
 
 
 def _line_window(nu12: float, nu23: float) -> float:

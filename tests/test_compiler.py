@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qutrit_parity import compiler
 from qutrit_parity.compiler import (
     GATE_NAMES,
     GATE_TARGETS,
@@ -194,6 +195,15 @@ def fourier_template():
     return SequenceTemplate(protos, tuple(FreeParameter(n) for n in names))
 
 
+def virtualz_template(k):
+    """k free virtual-z angles, alternating on levels 1 and 2."""
+    return SequenceTemplate(
+        prototypes=tuple({"kind": "virtualz", "target": f"level{1 + i % 2}",
+                          "flip_deg": f"z{i}"} for i in range(k)),
+        params=tuple(FreeParameter(f"z{i}") for i in range(k)),
+    )
+
+
 def freed_template(name):
     """The compiled gate's events with every pulse phase and virtual-z angle freed."""
     protos, params = [], []
@@ -257,6 +267,20 @@ class TestOptimizeSequence:
         template = SequenceTemplate(prototypes=(), params=())
         with pytest.raises(ValueError):
             optimize_sequence(template, GATE_TARGETS["I"])
+
+    @pytest.mark.parametrize("budget", [2000, 2048])
+    def test_budget_below_the_coarsest_grid_rejected(self, budget):
+        """11 free angles: the 2-point grid alone is 2^11 = 2048 evaluations."""
+        with pytest.raises(ValueError, match=f"^11 free .* budget of {budget}$"):
+            optimize_sequence(virtualz_template(11), GATE_TARGETS["S12"], budget=budget)
+
+    def test_budget_caps_the_evaluations(self, monkeypatch):
+        calls = []
+        propagator = compiler.sequence_propagator
+        monkeypatch.setattr(compiler, "sequence_propagator",
+                            lambda events: calls.append(1) or propagator(events))
+        optimize_sequence(virtualz_template(11), GATE_TARGETS["S12"], budget=2049)
+        assert len(calls) == 2049 + 1  # and one measurement of the result
 
     def test_best_effort_flag_when_unreachable(self):
         # a single virtual-z cannot realize a swap

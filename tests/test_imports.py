@@ -2,6 +2,9 @@
 inside functions: the project runs no linter, so these scans are the check."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -68,3 +71,14 @@ def test_scipy_imported_only_inside_functions(path):
     """The CLI commands need only numpy; scipy is for optimize_sequence."""
     assert [m for m in import_time_modules(path.read_text())
             if m.split(".")[0] == "scipy"] == []
+
+
+def test_cli_import_leaves_out_scipy_and_concurrent_futures():
+    """In a fresh interpreter: each costs every CLI process its import time."""
+    probe = ("import sys, qutrit_parity.cli; "
+             "print([m for m in sys.modules if m.split('.')[0] == 'scipy' "
+             "or m.startswith('concurrent.futures')])")
+    env = dict(os.environ, PYTHONPATH=str(Path(qutrit_parity.__file__).parent.parent))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"

@@ -1,11 +1,12 @@
 import re
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qutrit_parity import cli
+from qutrit_parity import cli, spectro
 from qutrit_parity.core import ENTRY_TOL, DensityMatrix
 from qutrit_parity.permutations import NAMED_MAPS, Parity
 from qutrit_parity.spectro import (
@@ -13,6 +14,7 @@ from qutrit_parity.spectro import (
     DEFAULT_DWELL,
     DEFAULT_POINTS,
     FID,
+    NO_SIGNAL,
     _tones,
     EmptySpectrumError,
     Peak,
@@ -358,6 +360,84 @@ class TestReadLines:
         assert low == -high < 0
         [readout] = assert_batch_matches_rows(cfg, m[None])
         assert readout.line12 == readout.line23 == low
+
+
+#: an acquisition whose chunks hold one row each
+ONE_ROW_PER_CHUNK = CHUNK_BYTES // 16
+
+
+@pytest.fixture(params=[2, 3], ids=lambda w: f"W={w}")
+def workers(request, monkeypatch):
+    """W, with read_out run as on a machine of W CPUs, and the list of the
+    threads that _fid_rows has run on since."""
+    monkeypatch.setattr(spectro, "_cpus", lambda: request.param)
+    ran_on, fid_rows = [], spectro._fid_rows
+
+    def recording(*args):
+        ran_on.append(threading.current_thread())
+        return fid_rows(*args)
+
+    monkeypatch.setattr(spectro, "_fid_rows", recording)
+    return request.param, ran_on
+
+
+class TestWorkers:
+    """Chunks spread over W threads read out as the row path reads them."""
+
+    @pytest.mark.parametrize("rows", ["1", "W - 1", "W + 1", "2 chunks + 1"])
+    def test_stacks(self, workers, rows):
+        w, ran_on = workers
+        n = DEFAULT_POINTS if rows == "2 chunks + 1" else ONE_ROW_PER_CHUNK
+        per_chunk = max(1, CHUNK_BYTES // (16 * n))
+        count = {"1": 1, "W - 1": w - 1, "W + 1": w + 1, "2 chunks + 1": 2 * per_chunk + 1}[rows]
+        cfg, rhos = _detected(3, 20.0, n=n)
+        assert_batch_matches_rows(cfg, rhos[:count])
+        assert len(set(ran_on)) == min(w, -(-count // per_chunk))
+
+    def test_no_signal_rows_on_every_worker(self, workers):
+        """The clipped-360 degree rows of test_rounding_level_coherences_have_no_signal."""
+        w, _ = workers
+        cfg, rhos = _detected(20, 120.0, detection_flip_deg=330.0)
+        per_chunk = CHUNK_BYTES // (16 * DEFAULT_POINTS)
+        outcomes = [_outcome(r) for r in assert_batch_matches_rows(cfg, rhos)]
+        silent = [k for k, o in enumerate(outcomes) if o[2] == (EmptySpectrumError, NO_SIGNAL)]
+        assert {k // per_chunk % w for k in silent} == set(range(w))
+
+    def test_an_error_in_a_worker_is_raised_after_every_join(self, workers, monkeypatch):
+        w, _ = workers
+        caller, fid_rows = threading.current_thread(), spectro._fid_rows
+
+        class ChunkError(Exception):
+            pass
+
+        def failing(*args):
+            if threading.current_thread() is not caller:
+                raise ChunkError
+            return fid_rows(*args)
+
+        monkeypatch.setattr(spectro, "_fid_rows", failing)
+        cfg, rhos = _detected(3, 20.0)
+        before = threading.active_count()
+        with pytest.raises(ChunkError):
+            read_out(rhos, cfg.hamiltonian(), cfg.relaxation(), cfg.n, cfg.dwell_s)
+        assert threading.active_count() == before
+
+    def test_a_thread_that_cannot_start_fails_the_readout(self, workers, monkeypatch):
+        w, _ = workers
+        start, started = threading.Thread.start, []
+
+        def start_all_but_the_last(thread):
+            if len(started) == w - 2:
+                raise RuntimeError("can't start new thread")
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start_all_but_the_last)
+        cfg, rhos = _detected(3, 20.0)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            read_out(rhos, cfg.hamiltonian(), cfg.relaxation(), cfg.n, cfg.dwell_s)
+        assert threading.active_count() == before
 
 
 #: entry magnitudes at the edges of what a double holds, and ordinary ones

@@ -45,6 +45,8 @@ COMMANDS = {
     **{f"run-pulse-{p}-detect-360": ["run", "--permutation", p, "--detection-flip-deg", "360"]
        for p in ("f1", "f4")},
     "sweep-detect-180": ["sweep", "--detection-flip-deg", "180"],
+    "sweep-no-signal": ["sweep", "--detection-flip-deg", "330", "--noise-sigma-deg", "120",
+                        "--repeat", "20", "--seed", "1"],
     "sweep-mode-gate": ["sweep", "--mode", "gate"],
     "sweep-permutation-f4": ["sweep", "--permutation", "f4"],
     "compile-Q9": ["compile", "Q9"],
