@@ -35,7 +35,8 @@ from .permutations import (
 
 ENV_OUTPUT_DIR = "QUTRIT_PARITY_OUTPUT_DIR"
 
-#: sweep --repeat bound, so the (R, K) flips and (R, 3, 3) rows fit in memory
+#: sweep --repeat bound, so each run's readout outcome (~320 B), the (R, K)
+#: flips and the (R, 3, 3) rows fit in memory
 MAX_REPEAT = 10**5
 
 
@@ -181,7 +182,7 @@ def run_pulse_experiment(cfg: RunConfig, p: PermutationMap, seeds):
     events = program + spectro.detection_events(cfg.detection_flip_deg)
     flips = _draw_flips(cfg, events, seeds)
     return spin.with_flips(program, flips[0]), spin.run_pulse_batch(
-        spin.thermal_deviation(), events, flips, cfg.hamiltonian())
+        spin.thermal_deviation(), events, flips)
 
 
 def cmd_run(cfg: RunConfig) -> int:

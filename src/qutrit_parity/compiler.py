@@ -20,7 +20,6 @@ from .core import DIM, PHASE_TOL, Operator3, _frozen
 from .permutations import FOURIER3, NAMED_MAPS, unitary_of
 from .spin import (
     BLANK_RECORD,
-    HamiltonianParams,
     Pulse,
     VirtualZ,
     event_propagator,
@@ -62,11 +61,11 @@ def fidelity(target: np.ndarray, achieved: np.ndarray) -> float:
     return float(abs(np.trace(np.asarray(target).conj().T @ np.asarray(achieved))) / DIM)
 
 
-def sequence_propagator(events, params: HamiltonianParams | None = None) -> Operator3:
+def sequence_propagator(events) -> Operator3:
     """Ordered product of event propagators, rightmost factor earliest."""
     u = np.eye(DIM, dtype=complex)
     for event in events:
-        u = event_propagator(event, params).entries @ u
+        u = event_propagator(event).entries @ u
     return Operator3(u)
 
 

@@ -1,14 +1,13 @@
 """Spin-1 NMR model: operators, quadrupolar Hamiltonian, pulses, gradients.
 
-The rotating frame is fixed at the carrier, so only the quadrupolar term
-Lambda*(3*Iz^2 - I^2) evolves states. Pulses are ideal and instantaneous;
+The rotating frame is fixed at the carrier, and nothing evolves between
+events; Lambda places the lines. Pulses are ideal and instantaneous;
 their nominal durations are carried as metadata only. T1/T2 never act during
 a pulse program -- T2 enters only when the FID is synthesized (spectro).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -68,15 +67,6 @@ class Pulse:
 
 
 @dataclass(frozen=True)
-class Delay:
-    duration_s: float
-
-    def __post_init__(self):
-        if self.duration_s < 0:
-            raise ValueError(f"delay must be non-negative, got {self.duration_s}")
-
-
-@dataclass(frozen=True)
 class VirtualZ:
     """Frame-bookkeeping phase e^{i angle} on one energy level (1, 2 or 3).
 
@@ -98,7 +88,7 @@ class GradientEvent:
     label: str = "g"
 
 
-Event = Pulse | Delay | VirtualZ | GradientEvent
+Event = Pulse | VirtualZ | GradientEvent
 
 
 def transition_frequencies(p: HamiltonianParams) -> tuple[float, float]:
@@ -145,30 +135,15 @@ def _pulse_matrices(target: str, flips_deg, phase_deg: float) -> np.ndarray:
     return u
 
 
-def delay_propagator(p: HamiltonianParams, t: float) -> Operator3:
-    """exp(-i H_rot t): diagonal phases (e^{-i L t}, e^{+2i L t}, e^{-i L t})."""
-    if t < 0:
-        raise ValueError(f"delay time must be non-negative, got {t}")
-    phases = np.exp(-1j * p.lambda_q * np.array([1.0, -2.0, 1.0]) * t)
-    return Operator3(np.diag(phases))
-
-
-#: bounded, because a template optimization binds a fresh angle per step;
-#: the compiled gates use a dozen distinct VirtualZ events
-@functools.lru_cache(maxsize=64)
 def virtualz_propagator(vz: VirtualZ) -> Operator3:
     phases = np.ones(3, dtype=complex)
     phases[vz.level - 1] = np.exp(1j * math.radians(vz.angle_deg))
     return Operator3(np.diag(phases))
 
 
-def event_propagator(event: Event, params: HamiltonianParams | None = None) -> Operator3:
+def event_propagator(event: Event) -> Operator3:
     if isinstance(event, Pulse):
         return pulse_propagator(event)
-    if isinstance(event, Delay):
-        if params is None:
-            raise ValueError("delay events need HamiltonianParams")
-        return delay_propagator(params, event.duration_s)
     if isinstance(event, VirtualZ):
         return virtualz_propagator(event)
     if isinstance(event, GradientEvent):
@@ -192,8 +167,7 @@ def with_flips(events, flips) -> list:
     return [replace(e, flip_deg=next(it)) if isinstance(e, Pulse) else e for e in events]
 
 
-def run_pulse_batch(rho0: DensityMatrix, events, flips,
-                    params: HamiltonianParams | None = None) -> np.ndarray:
+def run_pulse_batch(rho0: DensityMatrix, events, flips) -> np.ndarray:
     """Apply events in time order to R copies of rho0 at once, row r turning the
     k-th pulse by flips[r, k] degrees. Each pulse propagator is checked unitary,
     and at exit the (R, 3, 3) rows as DensityMatrix entries of rho0's kind."""
@@ -210,17 +184,16 @@ def run_pulse_batch(rho0: DensityMatrix, events, flips,
             u = _pulse_matrices(event.target, next(pulses), event.phase_deg)
             check_unitary(u)
         else:
-            u = event_propagator(event, params).entries
+            u = event_propagator(event).entries
         rho = u @ rho @ dagger(u)
     check_density(rho, rho0.kind)
     return rho
 
 
-def run_pulse_program(rho0: DensityMatrix, events,
-                      params: HamiltonianParams | None = None) -> DensityMatrix:
+def run_pulse_program(rho0: DensityMatrix, events) -> DensityMatrix:
     """run_pulse_batch on one row, with the events' own flip angles."""
     events = list(events)
-    rho = run_pulse_batch(rho0, events, [pulse_flips(events)], params)
+    rho = run_pulse_batch(rho0, events, [pulse_flips(events)])
     return DensityMatrix(rho[0], rho0.kind)
 
 
@@ -241,8 +214,6 @@ def event_to_record(event: Event) -> dict:
     if isinstance(event, Pulse):
         fields = {"kind": "pulse", "target": event.target, "flip_deg": event.flip_deg,
                   "phase_deg": event.phase_deg, "duration_s": event.duration_s}
-    elif isinstance(event, Delay):
-        fields = {"kind": "delay", "duration_s": event.duration_s}
     elif isinstance(event, VirtualZ):
         fields = {"kind": "virtualz", "target": f"level{event.level}",
                   "flip_deg": event.angle_deg}
@@ -258,8 +229,6 @@ def record_to_event(rec: dict) -> Event:
     if kind == "pulse":
         return Pulse(rec["target"], rec["flip_deg"], rec["phase_deg"],
                      rec.get("duration_s", 0.0))
-    if kind == "delay":
-        return Delay(rec["duration_s"])
     if kind == "virtualz":
         return VirtualZ(int(rec["target"].removeprefix("level")), rec["flip_deg"])
     if kind == "gradient":

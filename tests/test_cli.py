@@ -531,7 +531,7 @@ def test_drawn_flips_wrap_to_360_and_clip_detection(monkeypatch):
             return np.array(self.offsets[:size])
 
     monkeypatch.setattr(np.random, "default_rng", FixedDraws)
-    events = [spin.Pulse("transition12", 90.0), spin.Delay(1e-3),
+    events = [spin.Pulse("transition12", 90.0), spin.VirtualZ(2, 90.0),
               spin.Pulse("transition23", 350.0), *spectro.detection_events(30.0)]
     flips = cli._draw_flips(RunConfig(pulse_angle_sigma_deg=5.0), events, [0, 1])
     assert flips.tolist() == [[360.0, 360.0, 1e-6], [91.0, 360.0, 360.0]]

@@ -4,20 +4,21 @@ import math
 import numpy as np
 import pytest
 
+from qutrit_parity.cli import build_pulse_program
 from qutrit_parity.core import DensityMatrix, NonUnitaryError
+from qutrit_parity.permutations import NAMED_MAPS
+from qutrit_parity.spectro import detection_events
 from qutrit_parity.spin import (
     IX,
     IY,
     IZ,
     TARGETS,
     TRANSITIONS,
-    Delay,
     GradientEvent,
     HamiltonianParams,
     Pulse,
     RelaxationParams,
     VirtualZ,
-    delay_propagator,
     event_propagator,
     program_to_records,
     pseudopure_prep_events,
@@ -28,7 +29,6 @@ from qutrit_parity.spin import (
     run_pulse_program,
     thermal_deviation,
     transition_frequencies,
-    virtualz_propagator,
     with_flips,
 )
 
@@ -117,41 +117,6 @@ class TestPulsePropagator:
             Pulse("somewhere", 90.0, 0.0)
 
 
-class TestDelayPropagator:
-    def test_zero_time_identity(self):
-        u = delay_propagator(LAMBDA_156, 0.0).entries
-        assert np.array_equal(u, np.eye(3))
-
-    def test_diagonal_phases(self):
-        lam, t = LAMBDA_156.lambda_q, 1e-3
-        u = delay_propagator(LAMBDA_156, t).entries
-        expected = np.diag(np.exp(-1j * lam * np.array([1, -2, 1]) * t))
-        assert np.allclose(u, expected, atol=1e-14)
-
-    def test_composition(self):
-        u1 = delay_propagator(LAMBDA_156, 1.3e-3).entries
-        u2 = delay_propagator(LAMBDA_156, 0.9e-3).entries
-        u12 = delay_propagator(LAMBDA_156, 2.2e-3).entries
-        assert np.max(np.abs(u1 @ u2 - u12)) < 1e-12
-
-    def test_full_cycle_on_coherences(self):
-        lam = LAMBDA_156.lambda_q
-        t = 2 * np.pi / (3 * lam)
-        u = delay_propagator(LAMBDA_156, t).entries
-        # both single-quantum coherence phases complete a full cycle
-        assert abs(u[0, 0] * u[1, 1].conjugate() - 1) < 1e-12
-        assert abs(u[1, 1] * u[2, 2].conjugate() - 1) < 1e-12
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            delay_propagator(LAMBDA_156, -1e-6)
-
-    def test_diagonal_rho_unchanged(self):
-        rho = DensityMatrix(np.diag([0.5, 0.5, -1.0]), "deviation")
-        out = run_pulse_program(rho, [Delay(3.7e-3)], LAMBDA_156)
-        assert np.max(np.abs(out.entries - rho.entries)) < 1e-12
-
-
 def crush(rho: DensityMatrix) -> DensityMatrix:
     return run_pulse_program(rho, [GradientEvent()])
 
@@ -206,10 +171,10 @@ class TestRunPulseProgram:
                 events = [Pulse(("transition12", "transition23", "nonselective")[rng.integers(0, 3)],
                                 float(rng.uniform(1, 360)), float(rng.uniform(0, 360)))]
             elif kind == 1:
-                events = [Delay(float(rng.uniform(0, 5e-3)))]
+                events = [VirtualZ(int(rng.integers(1, 4)), float(rng.uniform(0, 360)))]
             else:
                 events = [GradientEvent()]
-            rho = run_pulse_program(thermal_deviation(), events, LAMBDA_156)
+            rho = run_pulse_program(thermal_deviation(), events)
             assert abs(np.trace(rho.entries)) < 1e-10
             assert np.max(np.abs(rho.entries - rho.entries.conj().T)) < 1e-10
 
@@ -228,7 +193,6 @@ class TestSerialization:
         GradientEvent("g1"),
         Pulse("transition23", 270.0, 180.0, duration_s=4e-3),
         VirtualZ(2, 180.0),
-        Delay(1.25e-3),
         Pulse("nonselective", 30.0, 90.0, duration_s=0.5e-3),
         GradientEvent("g2"),
     ]
@@ -240,6 +204,16 @@ class TestSerialization:
     def test_bit_exact_through_json(self):
         text = json.dumps(program_to_records(self.PROGRAM))
         assert records_to_program(json.loads(text)) == self.PROGRAM
+
+    @pytest.mark.parametrize("name", list(NAMED_MAPS))
+    def test_every_built_program_roundtrips(self, name):
+        events = build_pulse_program(NAMED_MAPS[name]) + detection_events(30.0)
+        assert records_to_program(program_to_records(events)) == events
+
+    def test_delay_record_refused(self):
+        record = {"kind": "delay", "duration_s": 1e-3}
+        with pytest.raises(ValueError, match="unknown event kind 'delay'"):
+            records_to_program([record])
 
     def test_magic_angle_survives_json(self):
         flip = math.degrees(math.acos(-1 / 3))
@@ -262,16 +236,12 @@ class TestEventPropagator:
         with pytest.raises(ValueError):
             event_propagator(GradientEvent())
 
-    def test_delay_requires_params(self):
-        with pytest.raises(ValueError):
-            event_propagator(Delay(1e-3))
-
     def test_virtualz_diagonal(self):
         u = event_propagator(VirtualZ(2, 90.0)).entries
         assert np.allclose(u, np.diag([1, 1j, 1]), atol=1e-14)
 
 
-def reference_run(rho0, events, params=None):
+def reference_run(rho0, events):
     """run_pulse_program as a loop that validates every step: a DensityMatrix
     and an Operator3 per event."""
     rho = rho0
@@ -279,19 +249,17 @@ def reference_run(rho0, events, params=None):
         if isinstance(event, GradientEvent):
             rho = DensityMatrix(np.diag(np.diag(rho.entries)), rho.kind)
         else:
-            u = event_propagator(event, params).entries
+            u = event_propagator(event).entries
             rho = DensityMatrix(u @ rho.entries @ u.conj().T, rho.kind)
     return rho
 
 
 def random_event(rng):
-    kind = rng.integers(0, 4)
+    kind = rng.integers(0, 3)
     if kind == 0:
         return Pulse(("transition12", "transition23", "nonselective")[rng.integers(0, 3)],
                      float(rng.uniform(1, 360)), float(rng.uniform(0, 360)))
     if kind == 1:
-        return Delay(float(rng.uniform(0, 5e-3)))
-    if kind == 2:
         return VirtualZ(int(rng.integers(1, 4)), float(rng.uniform(0, 360)))
     return GradientEvent()
 
@@ -301,14 +269,10 @@ class TestRunPulseProgramContract:
         rng = np.random.default_rng(2014)
         for _ in range(200):
             events = [random_event(rng) for _ in range(rng.integers(1, 25))]
-            got = run_pulse_program(thermal_deviation(), events, LAMBDA_156)
-            want = reference_run(thermal_deviation(), events, LAMBDA_156)
+            got = run_pulse_program(thermal_deviation(), events)
+            want = reference_run(thermal_deviation(), events)
             assert got.kind == want.kind == "deviation"
             assert got.entries.tobytes() == want.entries.tobytes(), events
-
-    def test_virtualz_propagator_memoized(self):
-        vz = VirtualZ(3, 45.0)
-        assert virtualz_propagator(vz) is virtualz_propagator(VirtualZ(3, 45.0))
 
 
 class TestRunPulseBatch:
@@ -319,11 +283,10 @@ class TestRunPulseBatch:
         for _ in range(20):
             events = [random_event(rng) for _ in range(rng.integers(1, 25))]
             flips = rng.uniform(1e-6, 360.0, (50, len(pulse_flips(events))))
-            got = run_pulse_batch(thermal_deviation(), events, flips, LAMBDA_156)
+            got = run_pulse_batch(thermal_deviation(), events, flips)
             assert got.shape == (50, 3, 3)
             for row, row_flips in zip(got, flips):
-                want = reference_run(thermal_deviation(), with_flips(events, row_flips),
-                                     LAMBDA_156)
+                want = reference_run(thermal_deviation(), with_flips(events, row_flips))
                 assert row.tobytes() == want.entries.tobytes(), events
 
     def test_non_unitary_row_rejected(self):
@@ -333,9 +296,9 @@ class TestRunPulseBatch:
             run_pulse_batch(thermal_deviation(), [Pulse("transition12", 90.0)], flips)
 
     def test_flip_columns_must_match_pulses(self):
-        events = [Pulse("transition12", 90.0), Delay(1e-3), Pulse("transition23", 90.0)]
+        events = [Pulse("transition12", 90.0), VirtualZ(2, 90.0), Pulse("transition23", 90.0)]
         with pytest.raises(ValueError, match=r"need \(R, K\) flips .* \(1, 1\)"):
-            run_pulse_batch(thermal_deviation(), events, [[90.0]], LAMBDA_156)
+            run_pulse_batch(thermal_deviation(), events, [[90.0]])
 
     def test_with_flips_keeps_all_but_the_flip(self):
         events = [Pulse("transition23", 270.0, 180.0, duration_s=4e-3), VirtualZ(2, 90.0)]
