@@ -41,6 +41,7 @@ COMMANDS = {
     "sweep-noisy-hires": ["sweep", "--noise-sigma-deg", "5", "--repeat", "3", "--seed", "2",
                           "--n", "65536"],
     "sweep-noise-20": ["sweep", "--noise-sigma-deg", "20", "--repeat", "50", "--seed", "4"],
+    "run-pulse-hires": ["run", "--permutation", "f2", "--n", "65536"],
     "run-lambda-700": ["run", "--lambda-q-hz", "700"],
     **{f"run-pulse-{p}-detect-360": ["run", "--permutation", p, "--detection-flip-deg", "360"]
        for p in ("f1", "f4")},
