@@ -164,23 +164,21 @@ def compile_gate(name: str) -> CompiledSequence:
 # --- template optimization --------------------------------------------------
 
 @dataclass(frozen=True)
-class FreeParameter:
-    name: str
-
-
-@dataclass(frozen=True)
 class SequenceTemplate:
-    """Pulse skeleton whose angle fields may name a FreeParameter.
-
-    Prototype events are dicts in the pulse-program record format; a string
-    in an angle field refers to a parameter by name.
-    """
+    """Pulse skeleton of pulse-program records whose angle fields may name free
+    parameters: params lists the strings in the flip_deg and phase_deg fields
+    in order of first appearance, and bind takes one value per name, which
+    every field that names it receives."""
 
     prototypes: tuple
-    params: tuple
+
+    @functools.cached_property
+    def params(self) -> tuple:
+        angles = [p.get(f) for p in self.prototypes for f in ("flip_deg", "phase_deg")]
+        return tuple(dict.fromkeys(a for a in angles if isinstance(a, str)))
 
     def bind(self, values) -> list:
-        lookup = dict(zip((p.name for p in self.params), values, strict=True))
+        lookup = dict(zip(self.params, values, strict=True))
 
         def resolve(v, *, flip=False):
             if isinstance(v, str):

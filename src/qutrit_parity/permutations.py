@@ -28,8 +28,6 @@ from .core import (
     state_to_row,
 )
 
-LABELS = LEVEL_OF_INDEX
-
 
 class Parity(enum.Enum):
     EVEN = "even"
@@ -64,43 +62,44 @@ class PermutationMap:
     """Bijection on {+1, 0, -1}; images listed in the order (+1, 0, -1)."""
 
     images: tuple
-    name: str | None = None
 
     def __post_init__(self):
-        if tuple(sorted(self.images, reverse=True)) != LABELS:
-            raise ValueError(f"images {self.images} are not a bijection of {LABELS}")
+        if tuple(sorted(self.images, reverse=True)) != LEVEL_OF_INDEX:
+            raise ValueError(
+                f"images {self.images} are not a bijection of {LEVEL_OF_INDEX}")
 
     def __call__(self, label: int) -> int:
         return self.images[INDEX_OF_LEVEL[label]]
 
     def inverse(self) -> "PermutationMap":
-        inv = {self(x): x for x in LABELS}
-        return PermutationMap(tuple(inv[x] for x in LABELS))
+        inv = {self(x): x for x in LEVEL_OF_INDEX}
+        return _BY_IMAGES[tuple(inv[x] for x in LEVEL_OF_INDEX)]
 
     def cauchy(self) -> str:
-        top = " ".join(str(x) for x in LABELS)
-        bottom = " ".join(str(self(x)) for x in LABELS)
+        top = " ".join(str(x) for x in LEVEL_OF_INDEX)
+        bottom = " ".join(str(self(x)) for x in LEVEL_OF_INDEX)
         return f"({top} / {bottom})"
 
 
 NAMED_MAPS = {
-    "f1": PermutationMap((1, 0, -1), "f1"),
-    "f2": PermutationMap((0, -1, 1), "f2"),
-    "f3": PermutationMap((-1, 1, 0), "f3"),
-    "f4": PermutationMap((0, 1, -1), "f4"),
-    "f5": PermutationMap((1, -1, 0), "f5"),
-    "f6": PermutationMap((-1, 0, 1), "f6"),
+    "f1": PermutationMap((1, 0, -1)),
+    "f2": PermutationMap((0, -1, 1)),
+    "f3": PermutationMap((-1, 1, 0)),
+    "f4": PermutationMap((0, 1, -1)),
+    "f5": PermutationMap((1, -1, 0)),
+    "f6": PermutationMap((-1, 0, 1)),
 }
 
 #: every bijection of the three labels is a named map
 _BY_IMAGES = {p.images: p for p in NAMED_MAPS.values()}
+_NAME_OF = {p: name for name, p in NAMED_MAPS.items()}
 
 _UNITARIES = {name: Operator3(np.eye(DIM)[[INDEX_OF_LEVEL[x] for x in p.images]])
               for name, p in NAMED_MAPS.items()}
 
 
 def name_of(p: PermutationMap) -> str:
-    return _BY_IMAGES[p.images].name
+    return _NAME_OF[p]
 
 
 def parse_cauchy(text: str) -> PermutationMap:
@@ -125,7 +124,7 @@ def parse_cauchy(text: str) -> PermutationMap:
                 label = int(tok)
             except ValueError:
                 raise CauchyParseError(f"unknown token {tok!r}", pos) from None
-            if label not in LABELS:
+            if label not in LEVEL_OF_INDEX:
                 raise CauchyParseError(f"unknown label {label}", pos)
             toks.append((label, pos))
         return toks
@@ -144,7 +143,7 @@ def parse_cauchy(text: str) -> PermutationMap:
             seen.add(label)
 
     mapping = {t: b for (t, _), (b, _) in zip(top, bottom)}
-    return _BY_IMAGES[tuple(mapping[x] for x in LABELS)]
+    return _BY_IMAGES[tuple(mapping[x] for x in LEVEL_OF_INDEX)]
 
 
 def resolve(spec: str) -> PermutationMap:
@@ -179,7 +178,7 @@ def compose(p: PermutationMap, q: PermutationMap) -> PermutationMap:
     column-as-input convention, the matrix of a composition is the reversed
     product: unitary_of(compose(p, q)) = unitary_of(q) @ unitary_of(p).
     """
-    return _BY_IMAGES[tuple(p(q(x)) for x in LABELS)]
+    return _BY_IMAGES[tuple(p(q(x)) for x in LEVEL_OF_INDEX)]
 
 
 def fourier(d: int) -> np.ndarray:

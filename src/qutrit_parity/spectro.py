@@ -44,22 +44,18 @@ MAX_WORKERS = 4
 #: _fid_rows adds the nu23 tone in column blocks of at most this many samples
 SCRATCH_SAMPLES = 4096
 
-#: EmptySpectrumError messages of pick_peaks and of classify_spectrum
+#: why pick_peaks and classify_spectrum find a spectrum without a peak unclassifiable
 NO_SIGNAL, NO_PEAKS = "spectrum has no signal", "no peaks to classify"
 
 
 class UnclassifiableSpectrumError(ValueError):
-    """Line pattern matches neither the even nor the odd signature."""
+    """Line pattern matches neither the even nor the odd signature; the
+    message is why, when given (NO_SIGNAL or NO_PEAKS)."""
 
-    def __init__(self, line12: float, line23: float):
-        super().__init__(f"spectrum matches neither parity signature "
-                         f"(line12 = {line12:.6g}, line23 = {line23:.6g})")
+    def __init__(self, line12: float = 0.0, line23: float = 0.0, why: str = ""):
+        super().__init__(why or f"spectrum matches neither parity signature "
+                                f"(line12 = {line12:.6g}, line23 = {line23:.6g})")
         self.line12, self.line23 = line12, line23
-
-
-class EmptySpectrumError(UnclassifiableSpectrumError):
-    line12 = line23 = 0.0  # no signal or no peak, so no line
-    __init__ = ValueError.__init__  # takes a message, not the two lines
 
 
 @dataclass(frozen=True)
@@ -225,7 +221,7 @@ def pick_peaks(s: Spectrum) -> list:
     mag = np.abs(absorptive)
     top = float(mag.max(initial=0.0))
     if top == 0.0:
-        raise EmptySpectrumError(NO_SIGNAL)
+        raise UnclassifiableSpectrumError(why=NO_SIGNAL)
     hits = np.flatnonzero(_is_peak(mag[:-2], mag[1:-1], mag[2:], PEAK_THRESHOLD * top)) + 1
     freqs = (s.frequencies[hits]
              + _vertex(mag[hits - 1], mag[hits], mag[hits + 1]) * s.bin_width)
@@ -238,8 +234,8 @@ def read_out(rhos: np.ndarray, p: HamiltonianParams, r: RelaxationParams,
 
     Row k's outcome is the ReadoutResult that
     classify_spectrum(pick_peaks(transform(synthesize_fid(row k)))) returns,
-    or the UnclassifiableSpectrumError (EmptySpectrumError when the spectrum
-    holds no peak) it raises, with the same message and, bit for bit, the
+    or the UnclassifiableSpectrumError it raises (NO_SIGNAL or NO_PEAKS when
+    the spectrum holds no peak), with the same message and, bit for bit, the
     same lines. No row's spectrum is built: rows are read in chunks of
     CHUNK_BYTES per complex array, and only the bins that can hold a peak
     within the window of a line are examined.
@@ -303,7 +299,8 @@ def read_out(rhos: np.ndarray, p: HamiltonianParams, r: RelaxationParams,
             for i in np.flatnonzero(~found).tolist():  # rare: no peak near either line
                 mag = np.abs(np.roll(re[i], n // 2 - 1))  # the whole spectrum
                 if top[i] == 0.0 or not _is_peak(mag[:-2], mag[1:-1], mag[2:], floor[i]).any():
-                    empty[start + i] = EmptySpectrumError(NO_PEAKS if top[i] else NO_SIGNAL)
+                    empty[start + i] = UnclassifiableSpectrumError(
+                        why=NO_PEAKS if top[i] else NO_SIGNAL)
 
     errors = []
 
@@ -353,7 +350,7 @@ def classify_spectrum(peaks, p: HamiltonianParams) -> ReadoutResult:
     """classify_lines on the lines of the peaks nearest each transition; raises
     the UnclassifiableSpectrumError it returns."""
     if not peaks:
-        raise EmptySpectrumError(NO_PEAKS)
+        raise UnclassifiableSpectrumError(why=NO_PEAKS)
     nu12, nu23 = transition_frequencies(p)
     window = _line_window(nu12, nu23)
     readout = classify_lines(_line_amplitude(peaks, nu12, window),

@@ -22,7 +22,7 @@ IY = np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]], dtype=complex) / _SQRT2
 IZ = np.diag([1.0, 0.0, -1.0]).astype(complex)
 
 TRANSITIONS = {"transition12": (0, 1), "transition23": (1, 2)}
-TARGETS = ("transition12", "transition23", "nonselective")
+TARGETS = (*TRANSITIONS, "nonselective")
 
 
 @dataclass(frozen=True)

@@ -106,8 +106,6 @@ def test_criterion_5_compiler_phase_exactness():
             {"kind": "virtualz", "target": "level1", "flip_deg": "z1"},
             {"kind": "virtualz", "target": "level2", "flip_deg": "z2"},
         ),
-        params=(compiler.FreeParameter("ph"), compiler.FreeParameter("z1"),
-                compiler.FreeParameter("z2")),
     )
     optimized = compiler.optimize_sequence(template, compiler.GATE_TARGETS["S12"])
     elapsed = time.monotonic() - start

@@ -10,7 +10,6 @@ from qutrit_parity.compiler import (
     GATE_NAMES,
     GATE_TARGETS,
     MAGIC_FLIP_DEG,
-    FreeParameter,
     SequenceTemplate,
     UnknownGateError,
     compile_gate,
@@ -149,7 +148,6 @@ class TestVerify:
     def test_optimizer_best_effort_equals_the_separate_measurement(self):
         template = SequenceTemplate(
             prototypes=({"kind": "virtualz", "target": "level2", "flip_deg": "z"},),
-            params=(FreeParameter("z"),),
         )
         seq = optimize_sequence(template, GATE_TARGETS["S12"], budget=300)
         assert not seq.phase_exact
@@ -174,7 +172,6 @@ def swap_template():
             {"kind": "virtualz", "target": "level1", "flip_deg": "z1"},
             {"kind": "virtualz", "target": "level2", "flip_deg": "z2"},
         ),
-        params=(FreeParameter("ph"), FreeParameter("z1"), FreeParameter("z2")),
     )
 
 
@@ -191,8 +188,7 @@ def fourier_template():
         {"kind": "virtualz", "target": "level2", "flip_deg": "a1"},
         {"kind": "virtualz", "target": "level3", "flip_deg": "a2"},
     )
-    names = ("b1", "b2", "p1", "p2", "p3", "a1", "a2")
-    return SequenceTemplate(protos, tuple(FreeParameter(n) for n in names))
+    return SequenceTemplate(protos)
 
 
 def virtualz_template(k):
@@ -200,22 +196,33 @@ def virtualz_template(k):
     return SequenceTemplate(
         prototypes=tuple({"kind": "virtualz", "target": f"level{1 + i % 2}",
                           "flip_deg": f"z{i}"} for i in range(k)),
-        params=tuple(FreeParameter(f"z{i}") for i in range(k)),
     )
 
 
 def freed_template(name):
     """The compiled gate's events with every pulse phase and virtual-z angle freed."""
-    protos, params = [], []
+    protos = []
     for i, event in enumerate(compile_gate(name).events):
         rec = event_to_record(event)
         rec["phase_deg" if isinstance(event, Pulse) else "flip_deg"] = f"x{i}"
         protos.append(rec)
-        params.append(FreeParameter(f"x{i}"))
-    return SequenceTemplate(tuple(protos), tuple(params))
+    return SequenceTemplate(tuple(protos))
 
 
 class TestBind:
+    def test_params_are_the_names_in_order_of_first_appearance(self):
+        assert swap_template().params == ("ph", "z1", "z2")
+        assert fourier_template().params == ("b1", "b2", "p1", "p2", "p3", "a1", "a2")
+
+    def test_a_name_in_two_fields_is_one_parameter(self):
+        template = SequenceTemplate(
+            prototypes=({"kind": "pulse", "target": "transition12", "flip_deg": "z",
+                         "phase_deg": "z"},),
+        )
+        assert template.params == ("z",)
+        [pulse] = template.bind([90.0])
+        assert (pulse.flip_deg, pulse.phase_deg) == (90.0, 90.0)
+
     def test_angles_just_below_zero_bind_to_zero(self):
         """v % 360 is exactly 360.0 for v in about (-2.8e-14, 0)."""
         pulse, vz1, vz2 = swap_template().bind([-1e-15, -1e-15, -1e-20])
@@ -225,7 +232,6 @@ class TestBind:
         template = SequenceTemplate(
             prototypes=({"kind": "pulse", "target": "transition12", "flip_deg": "f",
                          "phase_deg": 0.0},),
-            params=(FreeParameter("f"),),
         )
         assert [template.bind([v])[0].flip_deg for v in (0.0, -1e-15, 720.0)] == [360.0] * 3
 
@@ -252,7 +258,6 @@ class TestOptimizeSequence:
         template = SequenceTemplate(
             prototypes=({"kind": "virtualz", "target": "level2",
                          "flip_deg": "z"},),
-            params=(FreeParameter("z"),),
         )
         seq = optimize_sequence(template, GATE_TARGETS["I"])
         assert seq.fidelity >= 1 - 1e-9
@@ -264,7 +269,7 @@ class TestOptimizeSequence:
         assert list(a.events) == list(b.events)
 
     def test_no_free_parameters_rejected(self):
-        template = SequenceTemplate(prototypes=(), params=())
+        template = SequenceTemplate(prototypes=())
         with pytest.raises(ValueError):
             optimize_sequence(template, GATE_TARGETS["I"])
 
@@ -287,7 +292,6 @@ class TestOptimizeSequence:
         template = SequenceTemplate(
             prototypes=({"kind": "virtualz", "target": "level2",
                          "flip_deg": "z"},),
-            params=(FreeParameter("z"),),
         )
         seq = optimize_sequence(template, GATE_TARGETS["S12"], budget=300)
         assert not seq.phase_exact

@@ -99,7 +99,7 @@ def test_fuzzed_cauchy_text_parses_or_reports_a_position(text):
             assert pos < len(text) and not text[pos].isspace(), (text, message)
             assert pos == 0 or text[pos - 1].isspace() or text[pos - 1] in "(/", (text, message)
     else:
-        assert p is NAMED_MAPS[p.name]
+        assert p is NAMED_MAPS[name_of(p)]
 
 
 class TestParity:
@@ -245,12 +245,20 @@ class TestCompose:
             assert compose(compose(p, q), r) is compose(p, compose(q, r))
 
     def test_inverse_gives_identity(self):
-        for p in NAMED_MAPS.values():
+        inverse_name = {"f1": "f1", "f2": "f3", "f3": "f2", "f4": "f4", "f5": "f5", "f6": "f6"}
+        for name, p in NAMED_MAPS.items():
+            assert p.inverse() is NAMED_MAPS[inverse_name[name]]
             assert compose(p, p.inverse()) is NAMED_MAPS["f1"]
             assert compose(p.inverse(), p) is NAMED_MAPS["f1"]
 
 
 class TestPermutationMap:
+    def test_equal_images_make_equal_maps(self):
+        p = PermutationMap((0, 1, -1))
+        assert p == NAMED_MAPS["f4"]
+        assert hash(p) == hash(NAMED_MAPS["f4"])
+        assert name_of(p) == "f4"
+
     def test_non_bijection_rejected(self):
         with pytest.raises(ValueError):
             PermutationMap((1, 1, 0))

@@ -14,9 +14,9 @@ from qutrit_parity.spectro import (
     DEFAULT_DWELL,
     DEFAULT_POINTS,
     FID,
+    NO_PEAKS,
     NO_SIGNAL,
     _tones,
-    EmptySpectrumError,
     Peak,
     ReadoutResult,
     UnclassifiableSpectrumError,
@@ -147,7 +147,7 @@ class TestPickPeaks:
         assert abs(peaks[1].frequency - 468.0) < 0.5 * s.bin_width
 
     def test_empty_spectrum_rejected(self):
-        with pytest.raises(EmptySpectrumError):
+        with pytest.raises(UnclassifiableSpectrumError, match=f"^{NO_SIGNAL}$"):
             pick_peaks(transform(FID(np.zeros(64, complex), 1e-3)))
 
 
@@ -181,7 +181,7 @@ class TestClassifySpectrum:
         assert (readout.verdict, readout.confidence) == (Parity.EVEN, 1.0)
 
     def test_no_peaks_rejected(self):
-        with pytest.raises(EmptySpectrumError):
+        with pytest.raises(UnclassifiableSpectrumError, match=f"^{NO_PEAKS}$"):
             classify_spectrum([], PARAMS)
 
     def test_invariant_under_positive_scaling(self):
@@ -318,12 +318,12 @@ class TestReadLines:
         readouts = assert_batch_matches_rows(cfg, rhos)
         if n == 2:  # no bin lies between the two edge bins
             assert {_outcome(r)[2] for r in readouts} == {
-                (EmptySpectrumError, "no peaks to classify")}
+                (UnclassifiableSpectrumError, NO_PEAKS)}
 
     def test_all_zero_deviation_has_no_signal(self):
         readouts = assert_batch_matches_rows(cli.RunConfig(), np.zeros((3, 3, 3), complex))
         assert [_outcome(r) for r in readouts] == [
-            ("0.0", "0.0", (EmptySpectrumError, "spectrum has no signal"))] * 3
+            ("0.0", "0.0", (UnclassifiableSpectrumError, NO_SIGNAL))] * 3
 
     def test_rounding_level_coherences_have_no_signal(self):
         """A detection flip clipped to 360 degrees is the identity, so what
@@ -335,7 +335,7 @@ class TestReadLines:
             for k, perm in enumerate(NAMED_MAPS.values())])
         outcomes = [_outcome(r) for r in assert_batch_matches_rows(cfg, rhos)]
         silent = [k for k, o in enumerate(outcomes)
-                  if o == ("0.0", "0.0", (EmptySpectrumError, "spectrum has no signal"))]
+                  if o == ("0.0", "0.0", (UnclassifiableSpectrumError, NO_SIGNAL))]
         assert silent == np.flatnonzero(detection == 360.0).tolist() and silent
 
     @pytest.mark.parametrize("rows", ["one", "chunk", "chunk + 1"])
@@ -400,7 +400,8 @@ class TestWorkers:
         cfg, rhos = _detected(20, 120.0, detection_flip_deg=330.0)
         per_chunk = CHUNK_BYTES // (16 * DEFAULT_POINTS)
         outcomes = [_outcome(r) for r in assert_batch_matches_rows(cfg, rhos)]
-        silent = [k for k, o in enumerate(outcomes) if o[2] == (EmptySpectrumError, NO_SIGNAL)]
+        silent = [k for k, o in enumerate(outcomes)
+                  if o[2] == (UnclassifiableSpectrumError, NO_SIGNAL)]
         assert {k // per_chunk % w for k in silent} == set(range(w))
 
     def test_an_error_in_a_worker_is_raised_after_every_join(self, workers, monkeypatch):
