@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DIM, PHASE_TOL, Operator3, _frozen
-from .permutations import FOURIER3, NAMED_MAPS, unitary_of
+from .core import DIM, PHASE_TOL, Operator3
+from .permutations import FOURIER3, FOURIER3_INV, NAMED_MAPS, unitary_of
 from .spin import (
     BLANK_RECORD,
     Pulse,
@@ -29,8 +29,6 @@ from .spin import (
 
 #: 109.47 degrees, stored exactly as the arccos rather than the decimal
 MAGIC_FLIP_DEG = math.degrees(math.acos(-1.0 / 3.0))
-
-_F3 = FOURIER3.entries
 
 
 class UnknownGateError(ValueError):
@@ -108,7 +106,7 @@ def _fourier_events() -> list:
     ]
     # every entry of the skeleton's propagator has F's magnitude, so
     # F = diag(e^{ia}) @ U @ diag(e^{ib}) with the phases read off row and column 0
-    ang = np.angle(_F3 / sequence_propagator(pulses).entries)
+    ang = np.angle(FOURIER3.entries / sequence_propagator(pulses).entries)
     return (_phases_to_virtualz(ang[0, :]) + pulses
             + _phases_to_virtualz(ang[:, 0] - ang[0, 0]))
 
@@ -136,8 +134,8 @@ def _oracle(k: int, *swaps: str):
 #: The gate table: name -> (read-only target unitary, builder of its pulse
 #: events). Aliases, added below, share the entry of the oracle they name.
 _GATES = {
-    "F": (_F3, _fourier_events),
-    "Finv": (_frozen(_F3.conj().T), lambda: invert_events(_fourier_events())),
+    "F": (FOURIER3.entries, _fourier_events),
+    "Finv": (FOURIER3_INV.entries, lambda: invert_events(_fourier_events())),
     "U1": _oracle(1),
     "U2": _oracle(2, "12", "23"),
     "U3": _oracle(3, "23", "12"),
@@ -166,37 +164,39 @@ def compile_gate(name: str) -> CompiledSequence:
 @dataclass(frozen=True)
 class SequenceTemplate:
     """Pulse skeleton of pulse-program records whose angle fields may name free
-    parameters: params lists the strings in the flip_deg and phase_deg fields
-    in order of first appearance, and bind takes one value per name, which
-    every field that names it receives."""
+    parameters: params lists the strings in them in order of first appearance,
+    and bind takes one value per name, which every field that names it
+    receives. A string in any other numeric field is a ValueError."""
 
     prototypes: tuple
 
+    #: per event kind, the angle fields bind resolves, each with what a whole turn binds to
+    _ANGLE_FIELDS = {"pulse": {"flip_deg": 360.0, "phase_deg": 0.0},
+                     "virtualz": {"flip_deg": 0.0}}
+
     @functools.cached_property
     def params(self) -> tuple:
-        angles = [p.get(f) for p in self.prototypes for f in ("flip_deg", "phase_deg")]
-        return tuple(dict.fromkeys(a for a in angles if isinstance(a, str)))
+        named = [(p, f) for p in self.prototypes for f, blank in BLANK_RECORD.items()
+                 if isinstance(blank, float) and isinstance(p.get(f), str)]
+        for p, f in named:
+            if f not in self._ANGLE_FIELDS.get(p.get("kind"), {}):
+                raise ValueError(f"prototype {p!r} names parameter {p[f]!r} in {f!r}, "
+                                 "which bind does not resolve")
+        return tuple(dict.fromkeys(p[f] for p, f in named))
 
     def bind(self, values) -> list:
         lookup = dict(zip(self.params, values, strict=True))
 
-        def resolve(v, *, flip=False):
-            if isinstance(v, str):
-                v = lookup[v]
-            # a v just below 0 wraps to exactly 360.0, a flip but not an angle
-            v = float(v) % 360.0
-            if flip:
-                return 360.0 if v == 0.0 else v
-            return 0.0 if v == 360.0 else v
+        def resolve(v, turn: float) -> float:
+            # a v just below 0 wraps to exactly 360.0
+            v = float(lookup[v] if isinstance(v, str) else v) % 360.0
+            return turn if v in (0.0, 360.0) else v
 
         events = []
         for proto in self.prototypes:
             rec = {**BLANK_RECORD, **proto}
-            if rec["kind"] == "pulse":
-                rec["flip_deg"] = resolve(rec["flip_deg"], flip=True)
-                rec["phase_deg"] = resolve(rec["phase_deg"])
-            elif rec["kind"] == "virtualz":
-                rec["flip_deg"] = resolve(rec["flip_deg"])
+            for field, turn in self._ANGLE_FIELDS.get(rec["kind"], {}).items():
+                rec[field] = resolve(rec[field], turn)
             events.append(record_to_event(rec))
         return events
 

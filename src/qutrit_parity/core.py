@@ -142,14 +142,19 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.swapaxes(np.asarray(m).conj(), -1, -2)
 
 
+def rotate(u: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """u m u^dagger for one matrix or each of a (..., 3, 3) stack: every rho update."""
+    return u @ m @ dagger(u)
+
+
 def apply_unitary(state, u: Operator3 | np.ndarray):
-    """u|psi> for a pure state, u rho u^dagger for a density matrix; an array
+    """u|psi> for a pure state, rotate(u, rho) for a density matrix; an array
     u is checked unitary as an Operator3."""
     um = (u if isinstance(u, Operator3) else Operator3(u)).entries
     if isinstance(state, QutritState):
         return QutritState(um @ state.amplitudes)
     if isinstance(state, DensityMatrix):
-        return DensityMatrix(um @ state.entries @ dagger(um), state.kind)
+        return DensityMatrix(rotate(um, state.entries), state.kind)
     raise TypeError(f"cannot apply a unitary to {type(state).__name__}")
 
 

@@ -24,6 +24,8 @@ from .core import (
     PHASE_TOL,
     Operator3,
     QutritState,
+    apply_unitary,
+    dagger,
     equal_up_to_global_phase,
     state_to_row,
 )
@@ -197,6 +199,7 @@ def fourier(d: int) -> np.ndarray:
 
 
 FOURIER3 = Operator3(fourier(3))
+FOURIER3_INV = Operator3(dagger(FOURIER3.entries))
 
 
 def classify_final_state(s: QutritState) -> Parity:
@@ -243,14 +246,12 @@ def run_parity_algorithm(p: PermutationMap) -> AlgorithmTrace:
     def oracle(state: QutritState) -> QutritState:
         nonlocal calls
         calls += 1
-        u = unitary_of(p)
-        return QutritState(u.entries @ state.amplitudes)
+        return apply_unitary(state, unitary_of(p))
 
-    f = FOURIER3.entries
     initial = QutritState.ket(-1)
-    post_fourier = QutritState(f @ initial.amplitudes)
+    post_fourier = apply_unitary(initial, FOURIER3)
     post_oracle = oracle(post_fourier)
-    final = QutritState(f.conj().T @ post_oracle.amplitudes)
+    final = apply_unitary(post_oracle, FOURIER3_INV)
 
     verdict = classify_final_state(final)
     reference = QutritState.ket(-1 if verdict is Parity.EVEN else 0)

@@ -15,13 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ENTRY_TOL, DensityMatrix, _frozen
+from .core import ENTRY_TOL, DensityMatrix, _frozen, apply_unitary
 from .permutations import Parity
 from .spin import (
     GradientEvent,
     HamiltonianParams,
     Pulse,
     RelaxationParams,
+    crush,
     pulse_propagator,
     transition_frequencies,
 )
@@ -108,10 +109,9 @@ def detection_events(flip_deg: float) -> list:
 
 
 def detect(rho: DensityMatrix, flip_deg: float) -> DensityMatrix:
-    """detection_events on one density matrix."""
-    u = pulse_propagator(detection_events(flip_deg)[1]).entries
-    m = np.diag(np.diag(rho.entries))  # the g2 crusher, as in run_pulse_batch
-    return DensityMatrix(u @ m @ u.conj().T, rho.kind)
+    """detection_events on one density matrix, by spin.crush and core.apply_unitary."""
+    crushed = DensityMatrix(crush(rho.entries), rho.kind)
+    return apply_unitary(crushed, pulse_propagator(detection_events(flip_deg)[1]))
 
 
 def check_acquisition(p: HamiltonianParams, r: RelaxationParams, n: int,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import DensityMatrix, Operator3, check_density, check_unitary, dagger
+from .core import DensityMatrix, Operator3, check_density, check_unitary, rotate
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -151,6 +151,11 @@ def event_propagator(event: Event) -> Operator3:
     raise TypeError(f"unknown event {event!r}")
 
 
+def crush(rho: np.ndarray) -> np.ndarray:
+    """A GradientEvent on rho (..., 3, 3): the diagonal kept, +0 elsewhere."""
+    return np.where(np.eye(3, dtype=bool), rho, 0.0)
+
+
 def thermal_deviation() -> DensityMatrix:
     """High-temperature equilibrium deviation, proportional to Iz."""
     return DensityMatrix(IZ.copy(), "deviation")
@@ -168,9 +173,9 @@ def with_flips(events, flips) -> list:
 
 
 def run_pulse_batch(rho0: DensityMatrix, events, flips) -> np.ndarray:
-    """Apply events in time order to R copies of rho0 at once, row r turning the
-    k-th pulse by flips[r, k] degrees. Each pulse propagator is checked unitary,
-    and at exit the (R, 3, 3) rows as DensityMatrix entries of rho0's kind."""
+    """Apply events in time order to R copies of rho0 at once by crush and rotate,
+    row r turning the k-th pulse by flips[r, k] degrees. Each pulse propagator is
+    checked unitary, and the (R, 3, 3) rows at exit as entries of rho0's kind."""
     events, flips = list(events), np.asarray(flips, dtype=float)
     if flips.ndim != 2 or flips.shape[1] != len(pulse_flips(events)):
         raise ValueError(f"need (R, K) flips for the K pulses, got {flips.shape}")
@@ -178,14 +183,14 @@ def run_pulse_batch(rho0: DensityMatrix, events, flips) -> np.ndarray:
     pulses = iter(flips.T)
     for event in events:
         if isinstance(event, GradientEvent):
-            rho = np.where(np.eye(3, dtype=bool), rho, 0.0)
+            rho = crush(rho)
             continue
         if isinstance(event, Pulse):
             u = _pulse_matrices(event.target, next(pulses), event.phase_deg)
             check_unitary(u)
         else:
             u = event_propagator(event).entries
-        rho = u @ rho @ dagger(u)
+        rho = rotate(u, rho)
     check_density(rho, rho0.kind)
     return rho
 

@@ -19,7 +19,13 @@ from qutrit_parity.compiler import (
     sequence_propagator,
 )
 from qutrit_parity.core import DensityMatrix, QutritState
-from qutrit_parity.permutations import NAMED_MAPS, Parity, run_parity_algorithm
+from qutrit_parity.permutations import (
+    FOURIER3,
+    FOURIER3_INV,
+    NAMED_MAPS,
+    Parity,
+    run_parity_algorithm,
+)
 from qutrit_parity.spin import (
     GradientEvent,
     Pulse,
@@ -75,6 +81,8 @@ class TestCompile:
         f = sequence_propagator(compile_gate("F").events).entries
         finv = sequence_propagator(compile_gate("Finv").events).entries
         assert np.max(np.abs(finv @ f - np.eye(3))) < 1e-10
+        assert GATE_TARGETS["F"] is FOURIER3.entries
+        assert GATE_TARGETS["Finv"] is FOURIER3_INV.entries
 
     def test_unknown_gate(self):
         with pytest.raises(UnknownGateError):
@@ -222,6 +230,24 @@ class TestBind:
         assert template.params == ("z",)
         [pulse] = template.bind([90.0])
         assert (pulse.flip_deg, pulse.phase_deg) == (90.0, 90.0)
+
+    @pytest.mark.parametrize(("proto", "field"), [
+        ({"kind": "virtualz", "target": "level2", "flip_deg": 90.0, "phase_deg": "z"},
+         "phase_deg"),
+        ({"kind": "pulse", "target": "transition12", "flip_deg": 90.0, "duration_s": "z"},
+         "duration_s"),
+        ({"kind": "gradient", "label": "g1", "flip_deg": "z"}, "flip_deg"),
+    ])
+    def test_a_name_in_a_field_bind_does_not_resolve_is_rejected(self, proto, field,
+                                                                 monkeypatch):
+        """Such a name would be a search axis that changes no event."""
+        calls = []
+        monkeypatch.setattr(compiler, "sequence_propagator", calls.append)
+        template = SequenceTemplate((proto,))
+        with pytest.raises(ValueError, match=f"'z' in '{field}', which bind") as exc:
+            optimize_sequence(template, GATE_TARGETS["S12"])
+        assert repr(proto) in str(exc.value)
+        assert calls == []  # raised before any fidelity evaluation
 
     def test_angles_just_below_zero_bind_to_zero(self):
         """v % 360 is exactly 360.0 for v in about (-2.8e-14, 0)."""

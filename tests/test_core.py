@@ -12,6 +12,7 @@ from qutrit_parity.core import (
     check_unitary,
     dagger,
     equal_up_to_global_phase,
+    rotate,
     state_to_row,
 )
 from qutrit_parity.permutations import NAMED_MAPS, fourier, unitary_of
@@ -61,6 +62,18 @@ class TestApplyUnitary:
         out = apply_unitary(rho, u4)
         assert np.allclose(out.populations(), [0, 1, 0])
         assert out.kind == "true-state"
+        # rotate takes a stack row by row, bit for bit, with one u or a u per row
+        rng = np.random.default_rng(11)
+        a = rng.normal(size=(8, 3, 3)) + 1j * rng.normal(size=(8, 3, 3))
+        h = a + dagger(a)
+        rhos = h - np.trace(h, axis1=1, axis2=2)[:, None, None] / 3 * np.eye(3)
+        us = np.array([haar_unitary(rng) for _ in rhos])
+        for u in (us[0], us):
+            out = rotate(u, rhos)
+            for r, m in enumerate(rhos):
+                row_u = u if u.ndim == 2 else u[r]
+                want = apply_unitary(DensityMatrix(m, "deviation"), row_u).entries
+                assert np.array_equal(out[r], want)
 
 
 class TestEqualUpToGlobalPhase:

@@ -54,8 +54,9 @@ def single_coherence(c23=1.0, c12=0.0):
 
 class TestDetect:
     def test_equals_the_engine_detection_step(self):
-        """detect repeats run_pulse_program on detection_events by hand, so the
-        two must agree bit for bit: crusher and pulse, on coherent input."""
+        """detect and run_pulse_program take detection_events through the same
+        spin.crush and core.rotate, so the two agree bit for bit: crusher and
+        pulse, on coherent input."""
         rng = np.random.default_rng(2024)
         for _ in range(200):
             a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))

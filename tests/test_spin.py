@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from qutrit_parity import spin
 from qutrit_parity.cli import build_pulse_program
 from qutrit_parity.core import DensityMatrix, NonUnitaryError
 from qutrit_parity.permutations import NAMED_MAPS
@@ -125,6 +126,14 @@ class TestGradient:
     def test_diagonal_unchanged(self):
         rho = DensityMatrix(np.diag([0.2, 0.3, 0.5]))
         assert np.array_equal(crush(rho).entries, rho.entries)
+        # spin.crush keeps the diagonal bit for bit and writes +0.0, never -0.0, off it
+        rng = np.random.default_rng(1)
+        m = -np.abs(rng.normal(size=(2, 3, 3))) - 1j * np.abs(rng.normal(size=(2, 3, 3)))
+        m[1] = complex(-0.0, -0.0)
+        out, diag = spin.crush(m), np.eye(3, dtype=bool)
+        assert out[:, diag].tobytes() == m[:, diag].tobytes()
+        off = out[:, ~diag]
+        assert not off.any() and not np.signbit([off.real, off.imag]).any()
 
     def test_crushes_uniform_superposition(self):
         psi = np.ones(3) / np.sqrt(3)
