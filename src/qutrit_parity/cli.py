@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import ctypes
 import dataclasses
 import json
 import math
@@ -211,14 +210,15 @@ def cmd_run(cfg: RunConfig) -> int:
         if isinstance(readout, spectro.UnclassifiableSpectrumError):
             print(f"unclassifiable: {readout}", file=sys.stderr)
             return 2
-        fid = spectro.synthesize_fid(DensityMatrix(rhos[0], "deviation"), *acquisition)
+        detected = DensityMatrix(rhos[0], "deviation")
+        fid = spectro.synthesize_fid(detected, *acquisition)
         record["pulse_program"] = spin.program_to_records(program)
         record["readout"] = readout.to_record()
         record["verdict"] = readout.verdict.value
         _write_json(os.path.join(out, "pulse_program.json"), record["pulse_program"])
         _atomic_write(os.path.join(out, "fid.txt"), spectro.fid_to_text(fid))
         _atomic_write(os.path.join(out, "spectrum.txt"),
-                      spectro.spectrum_to_text(spectro.transform(fid)))
+                      spectro.spectrum_to_text(spectro.spectrum(detected, *acquisition)))
         _write_json(os.path.join(out, "readout.json"), readout.to_record())
         _write_json(os.path.join(out, "run_record.json"), record)
         print(f"{name_of(perm)}: verdict {readout.verdict.value} "
@@ -315,24 +315,7 @@ def _config_from_args(args) -> RunConfig:
     return cfg
 
 
-def _pin_malloc_thresholds():
-    """Fix glibc's mmap (4 MiB) and trim (8 MiB) thresholds. NumPy's FFT frees
-    a ~2 MiB scratch after every n = 65536 transform; under glibc's dynamic
-    thresholds that free returns the top of the heap to the kernel, and the
-    next transform faults it back in page by page. Arrays of 4 MiB and more
-    stay in their own mappings, so a run's peak memory does not grow. A no-op
-    where libc has no mallopt."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-        mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD; either call ends dynamic tuning
-        mallopt(-1, 8 << 20)  # M_TRIM_THRESHOLD
-    except (OSError, AttributeError, TypeError):
-        pass
-
-
 def main(argv=None) -> int:
-    _pin_malloc_thresholds()
     args = build_parser().parse_args(argv)
     try:
         cfg = _config_from_args(args)

@@ -9,8 +9,6 @@ convention, so only the pattern is meaningful.
 from __future__ import annotations
 
 import functools
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,15 +33,9 @@ DEFAULT_DWELL = 1.0 / 4000.0
 #: 10% single-line dominance rule (even parity) reads it too, as the two must match
 PEAK_THRESHOLD = 0.1
 
-#: read_out synthesizes and transforms rows in chunks of at most this many
-#: bytes per complex array (one row at least): 8 rows at n = 4096
+#: read_out builds the spectra of its rows in chunks of at most this many
+#: bytes per real array (one row at least): 16 rows at n = 4096
 CHUNK_BYTES = 512 * 1024
-
-#: read_out spreads its chunks over at most this many threads
-MAX_WORKERS = 4
-
-#: _fid_rows adds the nu23 tone in column blocks of at most this many samples
-SCRATCH_SAMPLES = 4096
 
 #: why pick_peaks and classify_spectrum find a spectrum without a peak unclassifiable
 NO_SIGNAL, NO_PEAKS = "spectrum has no signal", "no peaks to classify"
@@ -138,10 +130,10 @@ def synthesize_fid(rho: DensityMatrix, p: HamiltonianParams, r: RelaxationParams
     in 1-based level indices, both transitions weighted equally. Coherences
     at rounding level (_coherences) give no signal.
     """
-    tones = _tones(*check_acquisition(p, r, n, dwell), r.t2, n, dwell)
-    samples = np.empty((1, n), complex)
-    _fid_rows(*_coherences(rho.entries[None]), tones, samples, np.empty_like(samples))
-    return FID(samples[0], dwell)
+    tone12, tone23, decay = _tones(*check_acquisition(p, r, n, dwell), r.t2, n, dwell)
+    c12, c23 = _coherences(rho.entries[None])
+    # coefficient first: numpy rounds c * arr and arr * c differently for complex
+    return FID(((c12 * tone12 + c23 * tone23) * decay)[0], dwell)
 
 
 def _coherences(rhos: np.ndarray):
@@ -153,22 +145,6 @@ def _coherences(rhos: np.ndarray):
     return np.where(silent, 0.0, c12), np.where(silent, 0.0, c23)
 
 
-def _fid_rows(c12: np.ndarray, c23: np.ndarray, tones, out: np.ndarray,
-              scratch: np.ndarray) -> np.ndarray:
-    """synthesize_fid's samples for each row of the (R, 1) coherence columns,
-    written into the (R, n) array out. scratch is an (R, m) work array, m a
-    power of two <= n: the nu23 term is added m columns at a time, which is
-    elementwise and so gives the same bits for any m."""
-    tone12, tone23, decay = tones
-    m = scratch.shape[1]
-    # coefficient first: numpy rounds c * arr and arr * c differently for complex
-    np.multiply(c12, tone12, out=out)
-    for j in range(0, out.shape[1], m):
-        block = out[:, j:j + m]
-        np.add(block, np.multiply(c23, tone23[j:j + m], out=scratch), out=block)
-    return np.multiply(out, decay, out=out)
-
-
 @functools.lru_cache(maxsize=4)
 def _tones(nu12: float, nu23: float, t2: float, n: int, dwell: float):
     """Read-only exp(2 pi i nu12 t), exp(2 pi i nu23 t) and exp(-t/T2)."""
@@ -176,6 +152,46 @@ def _tones(nu12: float, nu23: float, t2: float, n: int, dwell: float):
     return (_frozen(np.exp(2j * np.pi * nu12 * t)),
             _frozen(np.exp(2j * np.pi * nu23 * t)),
             _frozen(np.exp(-t / t2)))
+
+
+@functools.lru_cache(maxsize=4)
+def _basis(nu12: float, nu23: float, t2: float, n: int, dwell: float):
+    """Read-only real and imaginary parts (P12, Q12, P23, Q23) of the spectra
+    of the unit damped tones tone12 * decay and tone23 * decay, in transform's
+    bin order."""
+    tone12, tone23, decay = _tones(nu12, nu23, t2, n, dwell)
+    parts = []
+    for tone in (tone12, tone23):
+        s = transform(FID(tone * decay, dwell)).amplitudes
+        parts += [_frozen(s.real), _frozen(s.imag)]
+    return tuple(parts)
+
+
+def _combine(x12, y12, x23, y23, basis, out: np.ndarray) -> np.ndarray:
+    """x12 P12 - y12 Q12 + x23 P23 - y23 Q23 for (R, 1) real coefficient
+    columns, into the (R, n) real array out, always in this order: the real
+    part of c12 S12 + c23 S23 for c = x + iy, and its imaginary part for the
+    coefficients (y, -x). Each operation is elementwise, so a row's bits do
+    not depend on the rows beside it."""
+    p12, q12, p23, q23 = basis
+    np.multiply(x12, p12, out=out)
+    out -= y12 * q12
+    out += x23 * p23
+    out -= y23 * q23
+    return out
+
+
+def spectrum(rho: DensityMatrix, p: HamiltonianParams, r: RelaxationParams,
+             n: int = DEFAULT_POINTS, dwell: float = DEFAULT_DWELL) -> Spectrum:
+    """The spectrum that read_out reads: c12 S12 + c23 S23, with S12 and S23
+    the cached transforms of the two unit damped tones. It equals
+    transform(synthesize_fid(rho)) up to rounding, as the DFT is linear."""
+    basis = _basis(*check_acquisition(p, r, n, dwell), r.t2, n, dwell)
+    c12, c23 = _coherences(rho.entries[None])
+    amps = np.empty((1, n), complex)
+    _combine(c12.real, c12.imag, c23.real, c23.imag, basis, amps.real)
+    _combine(c12.imag, -c12.real, c23.imag, -c23.real, basis, amps.imag)
+    return Spectrum(_frequency_axis(n, dwell), amps[0])
 
 
 def transform(fid: FID) -> Spectrum:
@@ -233,105 +249,58 @@ def read_out(rhos: np.ndarray, p: HamiltonianParams, r: RelaxationParams,
     """The readout of each row of an (R, 3, 3) stack of detected deviations.
 
     Row k's outcome is the ReadoutResult that
-    classify_spectrum(pick_peaks(transform(synthesize_fid(row k)))) returns,
-    or the UnclassifiableSpectrumError it raises (NO_SIGNAL or NO_PEAKS when
-    the spectrum holds no peak), with the same message and, bit for bit, the
-    same lines. No row's spectrum is built: rows are read in chunks of
-    CHUNK_BYTES per complex array, and only the bins that can hold a peak
-    within the window of a line are examined.
-
-    The chunks are dealt round-robin to W = min(CPUs in the process's
-    affinity mask, chunks, MAX_WORKERS) workers, the calling thread the
-    first; W = 1 starts no thread. Each chunk is read the same way on any
-    worker, so the outcomes do not depend on W. An error in any worker is
-    raised here once every worker has stopped.
+    classify_spectrum(pick_peaks(spectrum(row k))) returns, or the
+    UnclassifiableSpectrumError it raises (NO_SIGNAL or NO_PEAKS when the
+    spectrum holds no peak), with the same message and, bit for bit, the same
+    lines. The real parts of the rows' spectra are built in chunks of
+    CHUNK_BYTES per real array, and only the bins that can hold a peak within
+    the window of a line are examined.
     """
     nu12, nu23 = check_acquisition(p, r, n, dwell)
-    tones = _tones(nu12, nu23, r.t2, n, dwell)
+    basis = _basis(nu12, nu23, r.t2, n, dwell)
     window = _line_window(nu12, nu23)
     freqs = _frequency_axis(n, dwell)
     dnu = float(freqs[1] - freqs[0])
     # a peak's vertex lies within half a bin of its bin, so only the bins
-    # within window + 2 dnu of a line, less the two edge bins, can qualify;
-    # spectrum bin j is FFT bin (j - (n/2 - 1)) mod n, transform's roll undone
-    near = []
-    for nu in (nu12, nu23):
-        bins = np.flatnonzero(np.abs(freqs - nu) <= window + 2.0 * dnu)
-        bins = bins[(bins > 0) & (bins < n - 1)]
-        with_neighbours = np.arange(bins[0] - 1, bins[-1] + 2) if bins.size else bins
-        near.append((nu, freqs[bins], (with_neighbours - (n // 2 - 1)) % n))
-
+    # within window + 2 dnu of a line, less the two edge bins, can qualify
     total = len(rhos)
     line12, line23 = np.zeros(total), np.zeros(total)
+    near = []
+    for nu, line in ((nu12, line12), (nu23, line23)):
+        bins = np.flatnonzero(np.abs(freqs - nu) <= window + 2.0 * dnu)
+        bins = bins[(bins > 0) & (bins < n - 1)]
+        if bins.size:
+            near.append((nu, freqs[bins], slice(bins[0] - 1, bins[-1] + 2), line))
+
     empty = {}
     c12, c23 = _coherences(rhos)
-    rows = max(1, min(total, CHUNK_BYTES // (16 * n)))
-    starts = range(0, total, rows)
-    workers = max(1, min(_cpus(), len(starts), MAX_WORKERS))
-
-    def read_chunks(worker: int):
-        """Chunks worker, worker + W, ...; writes only their rows of line12,
-        line23 and empty."""
-        buf = np.empty((rows, n), complex)
-        scratch = np.empty((rows, min(n, SCRATCH_SAMPLES)), complex)
-        for start in starts[worker::workers]:
-            k = min(rows, total - start)
-            fft = _fid_rows(c12[start:start + k], c23[start:start + k], tones,
-                            buf[:k], scratch[:k])
-            np.fft.fft(fft, axis=-1, out=fft)
-            re = fft.real
-            top = np.maximum(re.max(axis=1), -re.min(axis=1))
-            floor = (PEAK_THRESHOLD * top)[:, None]
-            found = np.zeros(k, bool)
-            for (nu, centre, fft_bins), line in zip(near, (line12, line23)):
-                if not centre.size:
-                    continue
-                signed = re[:, fft_bins]
-                mag = np.abs(signed)
-                alpha, beta, gamma = mag[:, :-2], mag[:, 1:-1], mag[:, 2:]
-                peak = _is_peak(alpha, beta, gamma, floor)
-                found |= peak.any(axis=1)
-                freq = centre + _vertex(alpha, beta, gamma, peak) * dnu
-                inside = peak & (np.abs(freq - nu) <= window)
-                best = np.where(inside, beta, -1.0).argmax(axis=1)  # first largest |amplitude|
-                line[start:start + k] = np.where(inside.any(axis=1),
-                                                 signed[np.arange(k), best + 1], 0.0)
-            for i in np.flatnonzero(~found).tolist():  # rare: no peak near either line
-                mag = np.abs(np.roll(re[i], n // 2 - 1))  # the whole spectrum
-                if top[i] == 0.0 or not _is_peak(mag[:-2], mag[1:-1], mag[2:], floor[i]).any():
-                    empty[start + i] = UnclassifiableSpectrumError(
-                        why=NO_PEAKS if top[i] else NO_SIGNAL)
-
-    errors = []
-
-    def work(worker: int):
-        try:
-            read_chunks(worker)
-        except BaseException as exc:  # raised by the caller, after every join
-            errors.append(exc)
-
-    threads = []
-    try:
-        for worker in range(1, workers):
-            thread = threading.Thread(target=work, args=(worker,))
-            thread.start()
-            threads.append(thread)
-        read_chunks(0)
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
+    rows = max(1, min(total, CHUNK_BYTES // (8 * n)))
+    buf = np.empty((rows, n))
+    for start in range(0, total, rows):
+        k = min(rows, total - start)
+        chunk = slice(start, start + k)
+        re = _combine(c12[chunk].real, c12[chunk].imag, c23[chunk].real, c23[chunk].imag,
+                      basis, buf[:k])
+        top = np.maximum(re.max(axis=1), -re.min(axis=1))
+        floor = (PEAK_THRESHOLD * top)[:, None]
+        found = np.zeros(k, bool)
+        for nu, centre, span, line in near:
+            signed = re[:, span]
+            mag = np.abs(signed)
+            alpha, beta, gamma = mag[:, :-2], mag[:, 1:-1], mag[:, 2:]
+            peak = _is_peak(alpha, beta, gamma, floor)
+            found |= peak.any(axis=1)
+            freq = centre + _vertex(alpha, beta, gamma, peak) * dnu
+            inside = peak & (np.abs(freq - nu) <= window)
+            best = np.where(inside, beta, -1.0).argmax(axis=1)  # first largest |amplitude|
+            line[chunk] = np.where(inside.any(axis=1), signed[np.arange(k), best + 1], 0.0)
+        for i in np.flatnonzero(~found).tolist():  # rare: no peak near either line
+            mag = np.abs(re[i])  # the whole spectrum
+            if top[i] == 0.0 or not _is_peak(mag[:-2], mag[1:-1], mag[2:], floor[i]).any():
+                empty[start + i] = UnclassifiableSpectrumError(
+                    why=NO_PEAKS if top[i] else NO_SIGNAL)
     return [empty.get(k) or classify_lines(a, b)
             for k, (a, b) in enumerate(zip(line12.tolist(), line23.tolist()))]
-
-
-def _cpus() -> int:
-    """How many CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this platform
-        return os.cpu_count() or 1
 
 
 def _line_window(nu12: float, nu23: float) -> float:

@@ -610,12 +610,13 @@ def test_commands_do_not_import_scipy(tmp_path):
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
-                    reason="the malloc thresholds are glibc's")
+                    reason="the fault counts are those of glibc's allocator")
 def test_large_sweep_reuses_fft_scratch(tmp_path):
     """A second n = 65536 sweep in one process faults in almost no pages: the
-    CLI pins glibc's malloc thresholds, so pocketfft's per-call scratch stays
-    mapped from one transform to the next instead of going back to the kernel
-    and being faulted in again (~365 minor faults per readout row without it)."""
+    readout transforms the two basis tones once per acquisition and no row,
+    so no per-row FFT scratch goes back to the kernel and is faulted in again
+    (a per-row FFT under glibc's dynamic malloc thresholds took ~365 minor
+    faults per readout row)."""
     argv = ["sweep", "--noise-sigma-deg", "5", "--repeat", "4", "--n", "65536",
             "--seed", "1", "--output-dir", str(tmp_path)]
     script = (
