@@ -33,8 +33,10 @@ DEFAULT_DWELL = 1.0 / 4000.0
 #: 10% single-line dominance rule (even parity) reads it too, as the two must match
 PEAK_THRESHOLD = 0.1
 
-#: read_out builds the spectra of its rows in chunks of at most this many
-#: bytes per real array (one row at least): 16 rows at n = 4096
+#: read_out builds the two near-line spans of its rows in chunks of at most
+#: this many bytes for both (one row at least): 67 rows at n = 4096 with the
+#: default lines, 4 at n = 65536. A row it must build whole takes n doubles,
+#: in chunks of the same size: 16 rows at n = 4096, one from n = 65536.
 CHUNK_BYTES = 512 * 1024
 
 #: why pick_peaks and classify_spectrum find a spectrum without a peak unclassifiable
@@ -145,13 +147,11 @@ def _coherences(rhos: np.ndarray):
     return np.where(silent, 0.0, c12), np.where(silent, 0.0, c23)
 
 
-@functools.lru_cache(maxsize=4)
 def _tones(nu12: float, nu23: float, t2: float, n: int, dwell: float):
-    """Read-only exp(2 pi i nu12 t), exp(2 pi i nu23 t) and exp(-t/T2)."""
+    """exp(2 pi i nu12 t), exp(2 pi i nu23 t) and exp(-t/T2); not cached, as
+    a sweep needs them only to build _basis, which is."""
     t = np.arange(n) * dwell
-    return (_frozen(np.exp(2j * np.pi * nu12 * t)),
-            _frozen(np.exp(2j * np.pi * nu23 * t)),
-            _frozen(np.exp(-t / t2)))
+    return np.exp(2j * np.pi * nu12 * t), np.exp(2j * np.pi * nu23 * t), np.exp(-t / t2)
 
 
 @functools.lru_cache(maxsize=4)
@@ -167,6 +167,34 @@ def _basis(nu12: float, nu23: float, t2: float, n: int, dwell: float):
     return tuple(parts)
 
 
+@functools.lru_cache(maxsize=4)
+def _near_lines(nu12: float, nu23: float, t2: float, n: int, dwell: float):
+    """The bins read_out builds for one acquisition: (window, dnu, spans, far).
+
+    A peak's vertex lies within half a bin of its bin, so only the bins within
+    window + 2 dnu of a line, less the two edge bins, can hold that line. Each
+    line with such bins has one span, those bins and one neighbour on each
+    side: (index 0 for nu12 or 1 for nu23, nu, the span's slice, the axis at
+    those bins, and read-only views of the four _basis arrays over the span).
+    far holds max |P12|, |Q12|, |P23|, |Q23| over the bins outside every span,
+    or 0.0 where there are none.
+    """
+    basis = _basis(nu12, nu23, t2, n, dwell)
+    freqs = _frequency_axis(n, dwell)
+    window, dnu = _line_window(nu12, nu23), float(freqs[1] - freqs[0])
+    outside = np.ones(n, bool)
+    spans = []
+    for index, nu in enumerate((nu12, nu23)):
+        bins = np.flatnonzero(np.abs(freqs - nu) <= window + 2.0 * dnu)
+        bins = bins[(bins > 0) & (bins < n - 1)]
+        if bins.size:
+            span = slice(bins[0] - 1, bins[-1] + 2)
+            outside[span] = False
+            spans.append((index, nu, span, freqs[span][1:-1], tuple(b[span] for b in basis)))
+    far = tuple(float(np.max(np.abs(b), where=outside, initial=0.0)) for b in basis)
+    return window, dnu, tuple(spans), far
+
+
 def _combine(x12, y12, x23, y23, basis, out: np.ndarray) -> np.ndarray:
     """x12 P12 - y12 Q12 + x23 P23 - y23 Q23 for (R, 1) real coefficient
     columns, into the (R, n) real array out, always in this order: the real
@@ -179,6 +207,18 @@ def _combine(x12, y12, x23, y23, basis, out: np.ndarray) -> np.ndarray:
     out += x23 * p23
     out -= y23 * q23
     return out
+
+
+def _far_bound(x12, y12, x23, y23, far) -> np.ndarray:
+    """((|x12| F_P12 + |y12| F_Q12) + |x23| F_P23) + |y23| F_Q23 per row, for
+    (R, 1) coefficient columns and far = (F_P12, F_Q12, F_P23, F_Q23), the
+    largest |P12|, |Q12|, |P23|, |Q23| over some bins. It takes _combine's
+    order and rounding is monotone, so it bounds _combine's |result| at every
+    one of those bins, with no margin: for a row with one nonzero
+    coefficient it equals their largest."""
+    fp12, fq12, fp23, fq23 = far
+    return (((np.abs(x12) * fp12 + np.abs(y12) * fq12) + np.abs(x23) * fp23)
+            + np.abs(y23) * fq23)[:, 0]
 
 
 def spectrum(rho: DensityMatrix, p: HamiltonianParams, r: RelaxationParams,
@@ -220,11 +260,10 @@ def _is_peak(alpha, beta, gamma, floor):
     return (beta >= floor) & (beta >= alpha) & (beta > gamma)
 
 
-def _vertex(alpha, beta, gamma, where=True):
-    """Three-point parabolic vertex offset in bins, 0 outside `where`. At a peak
-    (_is_peak) the denominator is negative and the offset lies in [-1/2, 1/2]."""
-    return np.divide(0.5 * (alpha - gamma), alpha - 2.0 * beta + gamma,
-                     out=np.zeros(np.shape(beta)), where=where)
+def _vertex(alpha, beta, gamma):
+    """Three-point parabolic vertex offset in bins. At a peak (_is_peak) the
+    denominator is negative and the offset lies in [-1/2, 1/2]."""
+    return 0.5 * (alpha - gamma) / (alpha - 2.0 * beta + gamma)
 
 
 def pick_peaks(s: Spectrum) -> list:
@@ -252,55 +291,73 @@ def read_out(rhos: np.ndarray, p: HamiltonianParams, r: RelaxationParams,
     classify_spectrum(pick_peaks(spectrum(row k))) returns, or the
     UnclassifiableSpectrumError it raises (NO_SIGNAL or NO_PEAKS when the
     spectrum holds no peak), with the same message and, bit for bit, the same
-    lines. The real parts of the rows' spectra are built in chunks of
-    CHUNK_BYTES per real array, and only the bins that can hold a peak within
-    the window of a line are examined.
+    lines.
+
+    Only the real part at the bins of the two near-line spans (_near_lines) is
+    built, for a chunk of rows at a time, and the parabolic vertex only at
+    the bins that peak. The largest |Re| over the spans is the row's top, the
+    scale of the 10% peak floor, wherever it is at least the far bound
+    B = ((|x12| F_P12 + |y12| F_Q12) + |x23| F_P23) + |y23| F_Q23 (_far_bound),
+    for c = x + iy and F the basis maxima outside the spans: B bounds the
+    computed |Re| of every bin outside the spans exactly. A row with B above
+    its near top, or with no peak near either line, is built whole, as
+    pick_peaks sees it.
     """
     nu12, nu23 = check_acquisition(p, r, n, dwell)
     basis = _basis(nu12, nu23, r.t2, n, dwell)
-    window = _line_window(nu12, nu23)
-    freqs = _frequency_axis(n, dwell)
-    dnu = float(freqs[1] - freqs[0])
-    # a peak's vertex lies within half a bin of its bin, so only the bins
-    # within window + 2 dnu of a line, less the two edge bins, can qualify
+    window, dnu, spans, far = _near_lines(nu12, nu23, r.t2, n, dwell)
     total = len(rhos)
-    line12, line23 = np.zeros(total), np.zeros(total)
-    near = []
-    for nu, line in ((nu12, line12), (nu23, line23)):
-        bins = np.flatnonzero(np.abs(freqs - nu) <= window + 2.0 * dnu)
-        bins = bins[(bins > 0) & (bins < n - 1)]
-        if bins.size:
-            near.append((nu, freqs[bins], slice(bins[0] - 1, bins[-1] + 2), line))
-
+    lines = np.zeros((2, total))  # line12, line23
     empty = {}
     c12, c23 = _coherences(rhos)
-    rows = max(1, min(total, CHUNK_BYTES // (8 * n)))
-    buf = np.empty((rows, n))
+    coefs = c12.real, c12.imag, c23.real, c23.imag
+    width = sum(len(views[0]) for *_, views in spans)
+    rows = max(1, min(total, CHUNK_BYTES // (8 * max(width, 1))))
+    bufs = [np.empty((rows, len(views[0]))) for *_, views in spans]
     for start in range(0, total, rows):
-        k = min(rows, total - start)
-        chunk = slice(start, start + k)
-        re = _combine(c12[chunk].real, c12[chunk].imag, c23[chunk].real, c23[chunk].imag,
-                      basis, buf[:k])
-        top = np.maximum(re.max(axis=1), -re.min(axis=1))
+        chunk = slice(start, start + rows)
+        x = [c[chunk] for c in coefs]
+        k = len(x[0])
+        signed = [_combine(*x, views, buf[:k]) for (*_, views), buf in zip(spans, bufs)]
+        top = np.zeros(k)
+        for re in signed:
+            np.maximum(top, np.maximum(re.max(axis=1), -re.min(axis=1)), out=top)
+        for i, re in _whole_rows(np.flatnonzero(_far_bound(*x, far) > top), x, basis, n):
+            top[i] = np.maximum(re.max(axis=1), -re.min(axis=1))
         floor = (PEAK_THRESHOLD * top)[:, None]
         found = np.zeros(k, bool)
-        for nu, centre, span, line in near:
-            signed = re[:, span]
-            mag = np.abs(signed)
-            alpha, beta, gamma = mag[:, :-2], mag[:, 1:-1], mag[:, 2:]
-            peak = _is_peak(alpha, beta, gamma, floor)
-            found |= peak.any(axis=1)
-            freq = centre + _vertex(alpha, beta, gamma, peak) * dnu
-            inside = peak & (np.abs(freq - nu) <= window)
-            best = np.where(inside, beta, -1.0).argmax(axis=1)  # first largest |amplitude|
-            line[chunk] = np.where(inside.any(axis=1), signed[np.arange(k), best + 1], 0.0)
-        for i in np.flatnonzero(~found).tolist():  # rare: no peak near either line
-            mag = np.abs(re[i])  # the whole spectrum
-            if top[i] == 0.0 or not _is_peak(mag[:-2], mag[1:-1], mag[2:], floor[i]).any():
-                empty[start + i] = UnclassifiableSpectrumError(
-                    why=NO_PEAKS if top[i] else NO_SIGNAL)
+        for (index, nu, _, centre, _), re in zip(spans, signed):
+            mag = np.abs(re)
+            at = np.flatnonzero(_is_peak(mag[:, :-2], mag[:, 1:-1], mag[:, 2:], floor))
+            row, col = np.divmod(at, mag.shape[1] - 2)
+            found[row] = True
+            at += 2 * row + 1  # each peak's flat index into mag and re
+            m = mag.ravel()
+            inside = np.abs(centre[col] + _vertex(m[at - 1], m[at], m[at + 1]) * dnu
+                            - nu) <= window
+            row, at = row[inside], at[inside]
+            order = np.lexsort((-m[at], row))  # stable: by row, then by falling |amplitude|
+            row, at = row[order], at[order]
+            first = np.searchsorted(row, row)  # the row's first largest |amplitude|
+            lines[index, start + row] = re.ravel()[at[first]]
+        for i, re in _whole_rows(np.flatnonzero(~found), x, basis, n):
+            mag = np.abs(re)  # rare: no peak near either line, so look everywhere
+            peaks = _is_peak(mag[:, :-2], mag[:, 1:-1], mag[:, 2:], floor[i]).any(axis=1)
+            for j in np.flatnonzero(~peaks | (top[i] == 0.0)).tolist():
+                empty[start + i[j]] = UnclassifiableSpectrumError(
+                    why=NO_PEAKS if top[i[j]] else NO_SIGNAL)
     return [empty.get(k) or classify_lines(a, b)
-            for k, (a, b) in enumerate(zip(line12.tolist(), line23.tolist()))]
+            for k, (a, b) in enumerate(zip(*lines.tolist()))]
+
+
+def _whole_rows(rows: np.ndarray, x, basis, n: int):
+    """(some of rows, their real spectra over all n bins) for the given rows
+    of the coefficient columns x = (x12, y12, x23, y23), CHUNK_BYTES at a time."""
+    step = max(1, CHUNK_BYTES // (8 * n))
+    buf = np.empty((min(step, len(rows)), n))
+    for start in range(0, len(rows), step):
+        i = rows[start:start + step]
+        yield i, _combine(*(c[i] for c in x), basis, buf[:len(i)])
 
 
 def _line_window(nu12: float, nu23: float) -> float:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qutrit_parity import cli
+from qutrit_parity import cli, spectro
 from qutrit_parity.core import ENTRY_TOL, DensityMatrix
 from qutrit_parity.permutations import NAMED_MAPS, Parity
 from qutrit_parity.spectro import (
@@ -16,10 +16,13 @@ from qutrit_parity.spectro import (
     NO_PEAKS,
     NO_SIGNAL,
     _basis,
-    _tones,
+    _combine,
+    _far_bound,
+    _near_lines,
     Peak,
     ReadoutResult,
     UnclassifiableSpectrumError,
+    check_acquisition,
     classify_lines,
     classify_spectrum,
     detect,
@@ -251,12 +254,19 @@ class TestExports:
 
 class TestCachedArrays:
     def test_tones_read_only(self):
-        """_tones and the basis spectra built from them."""
+        """The basis spectra of the two tones are cached read-only, and
+        read_out's spans over them are views, not copies."""
         fid = synthesize_fid(single_coherence(), PARAMS, RELAX, n=64)
         key = *transition_frequencies(PARAMS), RELAX.t2, 64, fid.dwell
-        for cached in _tones(*key) + _basis(*key):
+        basis = _basis(*key)
+        *_, spans, _ = _near_lines(*key)
+        views = [view for *_, span_views in spans for view in span_views]
+        assert len(views) == 8
+        for cached in basis + tuple(views):
             with pytest.raises(ValueError):
                 cached[0] = 0.0
+        for view, whole in zip(views, basis * 2):
+            assert view.base is whole
         fid.samples[0] = 0.0  # each FID owns its samples
 
     def test_frequency_axis_shared_and_read_only(self):
@@ -363,7 +373,13 @@ class TestReadLines:
 
     @pytest.mark.parametrize("rows", ["one", "chunk", "chunk + 1"])
     def test_chunk_boundaries(self, rows):
-        per_chunk = CHUNK_BYTES // (8 * DEFAULT_POINTS)  # one float64 per sample
+        cfg = cli.RunConfig()
+        p, r = cfg.hamiltonian(), cfg.relaxation()
+        key = *check_acquisition(p, r, cfg.n, cfg.dwell_s), r.t2, cfg.n, cfg.dwell_s
+        *_, spans, _ = _near_lines(*key)
+        width = sum(span.stop - span.start for _, _, span, _, _ in spans)  # bins built per row
+        per_chunk = CHUNK_BYTES // (8 * width)  # one float64 per built bin
+        assert 1 < per_chunk < 200
         count = {"one": 1, "chunk": per_chunk, "chunk + 1": per_chunk + 1}[rows]
         cfg, rhos = _detected(-(-(per_chunk + 1) // 6), 20.0)
         assert len(rhos) >= count
@@ -384,6 +400,63 @@ class TestReadLines:
         assert low == -high < 0
         [readout] = assert_batch_matches_rows(cfg, m[None])
         assert readout.line12 == readout.line23 == low
+
+
+def _read_out_counting(cfg, rhos, monkeypatch):
+    """read_out's outcomes on rhos, and how many rows it built whole."""
+    whole, combine = [], spectro._combine
+
+    def spy(*args):
+        out = args[-1]
+        if out.shape[1] == cfg.n:
+            whole.append(len(out))
+        return combine(*args)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(spectro, "_combine", spy)
+        readouts = read_out(rhos, cfg.hamiltonian(), cfg.relaxation(), cfg.n, cfg.dwell_s)
+    return readouts, sum(whole)
+
+
+class TestWholeRows:
+    """read_out builds a row whole only where the far bound or a missing peak needs it."""
+
+    @pytest.mark.parametrize("n", [DEFAULT_POINTS, 65536])
+    def test_noisy_rows_build_only_the_spans(self, n, monkeypatch):
+        cfg, rhos = _detected(20 if n == DEFAULT_POINTS else 4, 5.0, n=n)
+        readouts, whole = _read_out_counting(cfg, rhos, monkeypatch)
+        assert whole == 0
+        assert [_outcome(r) for r in readouts] == [_outcome(_row_path(rho, cfg)) for rho in rhos]
+
+    @pytest.mark.parametrize("t2_s", [0.050, 0.0005])
+    def test_far_bound_holds_with_no_margin(self, t2_s):
+        """far holds the basis maxima outside the spans, and _far_bound is at
+        least every far bin's |Re| as _combine computes it, and equal to the
+        largest for a row with one nonzero coefficient."""
+        cfg = cli.RunConfig(t2_s=t2_s)
+        p, r = cfg.hamiltonian(), cfg.relaxation()
+        key = *check_acquisition(p, r, cfg.n, cfg.dwell_s), r.t2, cfg.n, cfg.dwell_s
+        basis = _basis(*key)
+        *_, spans, far = _near_lines(*key)
+        outside = np.ones(cfg.n, bool)
+        for _, _, span, _, _ in spans:
+            outside[span] = False
+        assert far == tuple(np.abs(b[outside]).max() for b in basis)
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(4, 64, 1)) * 10.0 ** rng.integers(-300, 300, size=(4, 64, 1))
+        x[:, :4, 0] *= np.eye(4)  # row j: coefficient j alone
+        far_top = np.abs(_combine(*x, basis, np.empty((64, cfg.n)))[:, outside]).max(axis=1)
+        bound = _far_bound(*x, far)
+        assert np.array_equal(bound[:4], far_top[:4])
+        assert (bound >= far_top).all()
+
+    def test_short_t2_rows_are_built_whole_and_read_as_the_row_path(self, monkeypatch):
+        """At T2 = 0.5 ms each line's half-width is ~640 Hz, so the bins outside the
+        spans can outweigh the bins inside them."""
+        cfg, rhos = _detected(50, 5.0, t2_s=0.0005, t1_s=0.01)
+        readouts, whole = _read_out_counting(cfg, rhos, monkeypatch)
+        assert 0 < whole < len(rhos)
+        assert [_outcome(r) for r in readouts] == [_outcome(_row_path(rho, cfg)) for rho in rhos]
 
 
 #: entry magnitudes at the edges of what a double holds, and ordinary ones

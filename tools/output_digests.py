@@ -41,6 +41,8 @@ COMMANDS = {
     "sweep-noisy-hires": ["sweep", "--noise-sigma-deg", "5", "--repeat", "3", "--seed", "2",
                           "--n", "65536"],
     "sweep-noise-20": ["sweep", "--noise-sigma-deg", "20", "--repeat", "50", "--seed", "4"],
+    "sweep-short-t2": ["sweep", "--noise-sigma-deg", "5", "--repeat", "50", "--t2-s", "0.0005",
+                       "--t1-s", "0.01", "--seed", "3"],
     "run-pulse-hires": ["run", "--permutation", "f2", "--n", "65536"],
     "run-lambda-700": ["run", "--lambda-q-hz", "700"],
     **{f"run-pulse-{p}-detect-360": ["run", "--permutation", p, "--detection-flip-deg", "360"]
