@@ -1,7 +1,10 @@
-"""Detection pulse, FID synthesis, spectrum, peak picking, parity readout.
+"""Detection pulse, FID synthesis, spectrum, parity readout.
 
-The readout keys on the line pattern (count, magnitude ratio, relative sign),
-never on absolute sign: the laboratory pseudopure deviation carries a negative
+The readout, read_out, is the bins near the two lines of one spectrum owner
+(_basis, the cached transforms of the two unit damped tones) plus the
+even/odd rule (classify_lines) on the largest peak near each line. The rule
+keys on the line pattern (count, magnitude ratio, relative sign), never on
+absolute sign: the laboratory pseudopure deviation carries a negative
 pseudopure coefficient and the sign of the quadrupolar coupling is a
 convention, so only the pattern is meaningful.
 """
@@ -39,7 +42,7 @@ PEAK_THRESHOLD = 0.1
 #: in chunks of the same size: 16 rows at n = 4096, one from n = 65536.
 CHUNK_BYTES = 512 * 1024
 
-#: why pick_peaks and classify_spectrum find a spectrum without a peak unclassifiable
+#: why read_out finds a spectrum without a peak unclassifiable
 NO_SIGNAL, NO_PEAKS = "spectrum has no signal", "no peaks to classify"
 
 
@@ -77,12 +80,6 @@ class Spectrum:
     @property
     def bin_width(self) -> float:
         return float(self.frequencies[1] - self.frequencies[0])
-
-
-@dataclass(frozen=True)
-class Peak:
-    frequency: float  # Hz, parabolic-refined
-    amplitude: float  # signed absorptive (real) amplitude
 
 
 @dataclass(frozen=True)
@@ -266,32 +263,17 @@ def _vertex(alpha, beta, gamma):
     return 0.5 * (alpha - gamma) / (alpha - 2.0 * beta + gamma)
 
 
-def pick_peaks(s: Spectrum) -> list:
-    """Local maxima of the absorptive magnitude at or above PEAK_THRESHOLD * max.
-
-    Frequencies are refined by three-point parabolic interpolation; signed
-    amplitudes are preserved.
-    """
-    absorptive = s.amplitudes.real
-    mag = np.abs(absorptive)
-    top = float(mag.max(initial=0.0))
-    if top == 0.0:
-        raise UnclassifiableSpectrumError(why=NO_SIGNAL)
-    hits = np.flatnonzero(_is_peak(mag[:-2], mag[1:-1], mag[2:], PEAK_THRESHOLD * top)) + 1
-    freqs = (s.frequencies[hits]
-             + _vertex(mag[hits - 1], mag[hits], mag[hits + 1]) * s.bin_width)
-    return [Peak(f, a) for f, a in zip(freqs.tolist(), absorptive[hits].tolist())]
-
-
 def read_out(rhos: np.ndarray, p: HamiltonianParams, r: RelaxationParams,
              n: int = DEFAULT_POINTS, dwell: float = DEFAULT_DWELL) -> list:
     """The readout of each row of an (R, 3, 3) stack of detected deviations.
 
-    Row k's outcome is the ReadoutResult that
-    classify_spectrum(pick_peaks(spectrum(row k))) returns, or the
-    UnclassifiableSpectrumError it raises (NO_SIGNAL or NO_PEAKS when the
-    spectrum holds no peak), with the same message and, bit for bit, the same
-    lines.
+    Row k's outcome is read from Re, the real part of spectrum(row k). Its
+    peaks are the bins whose |Re| is at least PEAK_THRESHOLD times the top |Re|
+    of all bins, at least the lower neighbour's and above the upper one's
+    (_is_peak), each at its frequency plus _vertex bins. line12 and line23 are
+    the Re of the largest-|Re| peak (the lowest, if tied) within _line_window
+    of nu12 and nu23, or 0.0, and the outcome is classify_lines(line12,
+    line23); an all-zero spectrum is NO_SIGNAL, and one with no peak NO_PEAKS.
 
     Only the real part at the bins of the two near-line spans (_near_lines) is
     built, for a chunk of rows at a time, and the parabolic vertex only at
@@ -300,8 +282,7 @@ def read_out(rhos: np.ndarray, p: HamiltonianParams, r: RelaxationParams,
     B = ((|x12| F_P12 + |y12| F_Q12) + |x23| F_P23) + |y23| F_Q23 (_far_bound),
     for c = x + iy and F the basis maxima outside the spans: B bounds the
     computed |Re| of every bin outside the spans exactly. A row with B above
-    its near top, or with no peak near either line, is built whole, as
-    pick_peaks sees it.
+    its near top, or with no peak near either line, is built whole.
     """
     nu12, nu23 = check_acquisition(p, r, n, dwell)
     basis = _basis(nu12, nu23, r.t2, n, dwell)
@@ -363,27 +344,6 @@ def _whole_rows(rows: np.ndarray, x, basis, n: int):
 def _line_window(nu12: float, nu23: float) -> float:
     """Half-width in Hz around each line inside which a peak counts as that line."""
     return max(0.25 * abs(nu23 - nu12), 1.0)
-
-
-def _line_amplitude(peaks, nu: float, window: float) -> float:
-    candidates = [pk for pk in peaks if abs(pk.frequency - nu) <= window]
-    if not candidates:
-        return 0.0
-    return max(candidates, key=lambda pk: abs(pk.amplitude)).amplitude
-
-
-def classify_spectrum(peaks, p: HamiltonianParams) -> ReadoutResult:
-    """classify_lines on the lines of the peaks nearest each transition; raises
-    the UnclassifiableSpectrumError it returns."""
-    if not peaks:
-        raise UnclassifiableSpectrumError(why=NO_PEAKS)
-    nu12, nu23 = transition_frequencies(p)
-    window = _line_window(nu12, nu23)
-    readout = classify_lines(_line_amplitude(peaks, nu12, window),
-                             _line_amplitude(peaks, nu23, window))
-    if isinstance(readout, UnclassifiableSpectrumError):
-        raise readout
-    return readout
 
 
 def classify_lines(line12: float, line23: float):

@@ -20,6 +20,7 @@ from qutrit_parity.permutations import (
     parity_by_counting,
     run_parity_algorithm,
 )
+from row_readout import classify_spectrum, pick_peaks
 
 PARAMS = spin.HamiltonianParams(lambda_q=2 * np.pi * 156.0)
 RELAX = spin.RelaxationParams(0.170, 0.050)
@@ -60,7 +61,7 @@ def test_criterion_3_spectral_splitting():
     deviation = DensityMatrix(np.diag([0.5, -1.0, 0.5]), "deviation")
     s = spectro.transform(
         spectro.synthesize_fid(spectro.detect(deviation, 30.0), PARAMS, RELAX))
-    peaks = sorted(spectro.pick_peaks(s), key=lambda p: p.frequency)
+    peaks = sorted(pick_peaks(s), key=lambda p: p.frequency)
     separation = peaks[-1].frequency - peaks[0].frequency
     elapsed = time.monotonic() - start
     ok = abs(separation - 936.0) <= s.bin_width and elapsed < 1.0
@@ -77,7 +78,7 @@ def test_criterion_4_readout_signatures():
     def readout(dev):
         s = spectro.transform(
             spectro.synthesize_fid(spectro.detect(dev, 30.0), PARAMS, RELAX))
-        return spectro.classify_spectrum(spectro.pick_peaks(s), PARAMS)
+        return classify_spectrum(pick_peaks(s), PARAMS)
 
     r_even = readout(even)
     even_ratio = (abs(r_even.line12) / abs(r_even.line23))

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 import warnings
@@ -637,7 +638,8 @@ def test_large_sweep_reuses_fft_scratch(tmp_path):
 
 def test_output_digest_commands_parse():
     """tools/output_digests.py runs each of its commands with --output-dir .;
-    every one parses, and together they compile every gate. None is run here."""
+    every one parses, together they compile every gate, and README counts
+    them right. None is run here."""
     path = Path(__file__).parent.parent / "tools" / "output_digests.py"
     spec = importlib.util.spec_from_file_location("output_digests", path)
     tool = importlib.util.module_from_spec(spec)
@@ -646,3 +648,6 @@ def test_output_digest_commands_parse():
     for args in tool.COMMANDS.values():
         parser.parse_args([*args, "--output-dir", "."])
     assert sorted(tool.GATES) == sorted(compiler.GATE_NAMES)
+    readme = (path.parent.parent / "README.md").read_text()
+    counts = re.findall(r"a fixed set of (\d+)\s+CLI\s+commands", readme)
+    assert counts == [str(len(tool.COMMANDS))]

@@ -15,20 +15,19 @@ from qutrit_parity.spectro import (
     FID,
     NO_PEAKS,
     NO_SIGNAL,
+    PEAK_THRESHOLD,
     _basis,
     _combine,
     _far_bound,
     _near_lines,
-    Peak,
     ReadoutResult,
+    Spectrum,
     UnclassifiableSpectrumError,
     check_acquisition,
     classify_lines,
-    classify_spectrum,
     detect,
     detection_events,
     fid_to_text,
-    pick_peaks,
     read_out,
     spectrum,
     spectrum_to_text,
@@ -41,6 +40,7 @@ from qutrit_parity.spin import (
     run_pulse_program,
     transition_frequencies,
 )
+from row_readout import Peak, classify_spectrum, pick_peaks
 
 EPS = np.finfo(float).eps
 PARAMS = HamiltonianParams(lambda_q=2 * np.pi * 156.0)
@@ -174,6 +174,17 @@ class TestPickPeaks:
         with pytest.raises(UnclassifiableSpectrumError, match=f"^{NO_SIGNAL}$"):
             pick_peaks(transform(FID(np.zeros(64, complex), 1e-3)))
 
+    def test_plateau_peaks_at_its_later_bin(self):
+        """Bins 2 and 3 share the top |Re| with opposite signs: only the later
+        bin peaks, in read_out's peak test and in the reference, so the line
+        reads +2.0. The parabolic vertex of a plateau lies midway either way."""
+        row = np.array([0.0, 0.5, -2.0, 2.0, 1.0, 0.0])
+        mag = np.abs(row)
+        peaks = spectro._is_peak(mag[:-2], mag[1:-1], mag[2:], PEAK_THRESHOLD * mag.max())
+        assert np.flatnonzero(peaks).tolist() == [2]  # centre 2 of mag[1:-1] is bin 3
+        s = Spectrum(np.arange(6.0) - 2.0, row.astype(complex))
+        assert pick_peaks(s) == [Peak(0.5, 2.0)]
+
 
 class TestClassifySpectrum:
     def test_single_line_at_nu23_even(self):
@@ -226,9 +237,18 @@ class TestClassifySpectrum:
 
 
 def _pipeline_verdict(deviation, params):
-    fid = synthesize_fid(detect(deviation, 30.0), params, RELAX)
+    """The reference's verdict on the FFT of the detected deviation's FID.
+    read_out on the detected row gives the same verdict, and the same lines
+    as the reference on its spectrum, bit for bit."""
+    detected = detect(deviation, 30.0)
+    fid = synthesize_fid(detected, params, RELAX)
     peaks = pick_peaks(transform(fid))
-    return classify_spectrum(peaks, params).verdict
+    verdict = classify_spectrum(peaks, params).verdict
+    [readout] = read_out(detected.entries[None], params, RELAX)
+    reference = classify_spectrum(pick_peaks(spectrum(detected, params, RELAX)), params)
+    assert _outcome(readout) == _outcome(reference)
+    assert readout.verdict is verdict
+    return verdict
 
 
 class TestExports:
@@ -307,7 +327,8 @@ def _outcome(readout):
 
 
 def _row_path(rho, cfg):
-    """classify_spectrum(pick_peaks(spectrum(rho))), or what it raises."""
+    """The reference readout, classify_spectrum(pick_peaks(spectrum(rho))), or
+    what it raises."""
     p, r = cfg.hamiltonian(), cfg.relaxation()
     s = spectrum(DensityMatrix(rho, "deviation"), p, r, cfg.n, cfg.dwell_s)
     try:
