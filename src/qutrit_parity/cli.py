@@ -162,13 +162,20 @@ def build_pulse_program(p: PermutationMap) -> list:
 
 def _draw_flips(cfg: RunConfig, events, seeds) -> np.ndarray:
     """(R, K) flips of the K pulses of events, one row per seed. With noise,
-    default_rng(seed) draws K offsets d: (flip + d) % 360, 0 read as 360, then
-    for the last pulse, the detection pulse, flip + d clipped to [1e-6, 360]."""
+    row r adds the K offsets default_rng(seeds[r]).normal(0, sigma, K)
+    (seeding.normal_draws) by _wrap_flips."""
     nominal, sigma = spin.pulse_flips(events), cfg.pulse_angle_sigma_deg
     if sigma == 0:
         return np.tile(nominal, (len(seeds), 1))
-    draws = [np.random.default_rng(s).normal(0.0, sigma, len(nominal)) for s in seeds]
-    drawn = nominal + np.array(draws)
+    from . import seeding  # here, so that a command without noise never compiles it
+
+    return _wrap_flips(nominal, seeding.normal_draws(seeds, sigma, len(nominal)))
+
+
+def _wrap_flips(nominal: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """(flip + d) % 360, 0 read as 360, for each row of offsets d, but for the
+    last pulse, the detection pulse, flip + d clipped to [1e-6, 360]."""
+    drawn = nominal + offsets
     flips = drawn % 360.0
     flips[flips == 0.0] = 360.0
     flips[:, -1] = np.clip(drawn[:, -1], 1e-6, 360.0)

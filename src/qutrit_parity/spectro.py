@@ -36,11 +36,15 @@ DEFAULT_DWELL = 1.0 / 4000.0
 #: 10% single-line dominance rule (even parity) reads it too, as the two must match
 PEAK_THRESHOLD = 0.1
 
-#: read_out builds the two near-line spans of its rows in chunks of at most
-#: this many bytes for both (one row at least): 67 rows at n = 4096 with the
-#: default lines, 4 at n = 65536. A row it must build whole takes n doubles,
-#: in chunks of the same size: 16 rows at n = 4096, one from n = 65536.
+#: read_out builds the spans of its rows in chunks of at most this many bytes
+#: for all spans (one row at least). A row it must build whole takes n
+#: doubles, in chunks of the same size: 16 rows at n = 4096, one from n = 65536.
 CHUNK_BYTES = 512 * 1024
+
+#: read_out tests for peaks the bins within this many line half-widths,
+#: 1/(2 pi T2), of either line (and within the line window); it bounds the
+#: rest exactly, so this sets how many rows are built whole, never a result
+SPAN_HALF_WIDTHS = 4.0
 
 #: why read_out finds a spectrum without a peak unclassifiable
 NO_SIGNAL, NO_PEAKS = "spectrum has no signal", "no peaks to classify"
@@ -166,30 +170,38 @@ def _basis(nu12: float, nu23: float, t2: float, n: int, dwell: float):
 
 @functools.lru_cache(maxsize=4)
 def _near_lines(nu12: float, nu23: float, t2: float, n: int, dwell: float):
-    """The bins read_out builds for one acquisition: (window, dnu, spans, far).
+    """The bins read_out builds for one acquisition: (window, dnu, spans, far, rest).
 
     A peak's vertex lies within half a bin of its bin, so only the bins within
-    window + 2 dnu of a line, less the two edge bins, can hold that line. Each
-    line with such bins has one span, those bins and one neighbour on each
-    side: (index 0 for nu12 or 1 for nu23, nu, the span's slice, the axis at
-    those bins, and read-only views of the four _basis arrays over the span).
-    far holds max |P12|, |Q12|, |P23|, |Q23| over the bins outside every span,
-    or 0.0 where there are none.
+    window + 2 dnu of a line, less the two edge bins, can hold that line.
+    read_out tests for peaks the bins within reach + 2 dnu of either line,
+    reach = min(window, SPAN_HALF_WIDTHS / (2 pi T2)), less the edge bins.
+    Each run of them, runs one bin apart merged, is a span: (the axis at its
+    tested bins, read-only views of the four _basis arrays over those bins
+    and one neighbour on each side), in ascending bin order. far holds max
+    |P12|, |Q12|, |P23|, |Q23| over the bins no span tests, or 0.0 where
+    there are none; rest holds, per line, those maxima over the untested
+    bins within window + 2 dnu of it, less the edge bins.
     """
     basis = _basis(nu12, nu23, t2, n, dwell)
     freqs = _frequency_axis(n, dwell)
     window, dnu = _line_window(nu12, nu23), float(freqs[1] - freqs[0])
-    outside = np.ones(n, bool)
-    spans = []
-    for index, nu in enumerate((nu12, nu23)):
-        bins = np.flatnonzero(np.abs(freqs - nu) <= window + 2.0 * dnu)
-        bins = bins[(bins > 0) & (bins < n - 1)]
-        if bins.size:
-            span = slice(bins[0] - 1, bins[-1] + 2)
-            outside[span] = False
-            spans.append((index, nu, span, freqs[span][1:-1], tuple(b[span] for b in basis)))
-    far = tuple(float(np.max(np.abs(b), where=outside, initial=0.0)) for b in basis)
-    return window, dnu, tuple(spans), far
+    reach = min(window, SPAN_HALF_WIDTHS / (2.0 * np.pi * t2))
+    inner = np.ones(n, bool)
+    inner[[0, -1]] = False
+    tested = inner & ((np.abs(freqs - nu12) <= reach + 2.0 * dnu)
+                      | (np.abs(freqs - nu23) <= reach + 2.0 * dnu))
+    tested[1:-1] |= tested[:-2] & tested[2:]
+    edges = np.flatnonzero(np.diff(tested, prepend=False, append=False))
+    spans = tuple((freqs[a:b], tuple(x[a - 1:b + 1] for x in basis))
+                  for a, b in zip(edges[::2].tolist(), edges[1::2].tolist()))
+
+    def maxima(where):
+        return tuple(float(np.max(np.abs(x), where=where, initial=0.0)) for x in basis)
+
+    rest = tuple(maxima(inner & ~tested & (np.abs(freqs - nu) <= window + 2.0 * dnu))
+                 for nu in (nu12, nu23))
+    return window, dnu, spans, maxima(~tested), rest
 
 
 def _combine(x12, y12, x23, y23, basis, out: np.ndarray) -> np.ndarray:
@@ -235,8 +247,8 @@ def transform(fid: FID) -> Spectrum:
     """DFT with the frequency axis centered at zero, ascending.
 
     The axis spans (-1/(2 dwell), +1/(2 dwell)]; the -Nyquist bin is reported
-    at its +Nyquist alias. A damped tone becomes a Lorentzian of half-width
-    1/(pi T2).
+    at its +Nyquist alias. A damped tone becomes a Lorentzian of full width
+    1/(pi T2) at half maximum, half-width 1/(2 pi T2).
     """
     n = len(fid.samples)
     # one roll: fftshift's n/2, then one bin down for the Nyquist alias
@@ -275,70 +287,84 @@ def read_out(rhos: np.ndarray, p: HamiltonianParams, r: RelaxationParams,
     of nu12 and nu23, or 0.0, and the outcome is classify_lines(line12,
     line23); an all-zero spectrum is NO_SIGNAL, and one with no peak NO_PEAKS.
 
-    Only the real part at the bins of the two near-line spans (_near_lines) is
-    built, for a chunk of rows at a time, and the parabolic vertex only at
-    the bins that peak. The largest |Re| over the spans is the row's top, the
-    scale of the 10% peak floor, wherever it is at least the far bound
-    B = ((|x12| F_P12 + |y12| F_Q12) + |x23| F_P23) + |y23| F_Q23 (_far_bound),
-    for c = x + iy and F the basis maxima outside the spans: B bounds the
-    computed |Re| of every bin outside the spans exactly. A row with B above
-    its near top, or with no peak near either line, is built whole.
+    Re is built, a chunk of rows at a time, only over the spans of
+    _near_lines, and the spans' peaks are read (_read_peaks). For c = x + iy,
+    the bound B = ((|x12| M_P12 + |y12| M_Q12) + |x23| M_P23) + |y23| M_Q23
+    (_far_bound) over maxima M of the basis arrays bounds the computed |Re| of
+    every bin those maxima cover exactly. So a row's reading is its whole
+    spectrum's when B_far, over the bins no span tests, is at most its top;
+    for each line, its |line| exceeds B_rest, over that line's untested
+    bins, or B_rest is below the 10% floor; and a span peaks, or B_far is
+    below the floor (no peak at all). Every other row is built over all n
+    bins and read by the same _read_peaks.
     """
     nu12, nu23 = check_acquisition(p, r, n, dwell)
     basis = _basis(nu12, nu23, r.t2, n, dwell)
-    window, dnu, spans, far = _near_lines(nu12, nu23, r.t2, n, dwell)
+    window, dnu, spans, far, rest = _near_lines(nu12, nu23, r.t2, n, dwell)
     total = len(rhos)
-    lines = np.zeros((2, total))  # line12, line23
-    empty = {}
+    lines, top = np.zeros((2, total)), np.zeros(total)  # line12, line23
+    found, settled = np.zeros(total, bool), np.zeros(total, bool)
     c12, c23 = _coherences(rhos)
     coefs = c12.real, c12.imag, c23.real, c23.imag
-    width = sum(len(views[0]) for *_, views in spans)
-    rows = max(1, min(total, CHUNK_BYTES // (8 * max(width, 1))))
-    bufs = [np.empty((rows, len(views[0]))) for *_, views in spans]
-    for start in range(0, total, rows):
-        chunk = slice(start, start + rows)
-        x = [c[chunk] for c in coefs]
-        k = len(x[0])
-        signed = [_combine(*x, views, buf[:k]) for (*_, views), buf in zip(spans, bufs)]
-        top = np.zeros(k)
-        for re in signed:
-            np.maximum(top, np.maximum(re.max(axis=1), -re.min(axis=1)), out=top)
-        for i, re in _whole_rows(np.flatnonzero(_far_bound(*x, far) > top), x, basis, n):
-            top[i] = np.maximum(re.max(axis=1), -re.min(axis=1))
-        floor = (PEAK_THRESHOLD * top)[:, None]
-        found = np.zeros(k, bool)
-        for (index, nu, _, centre, _), re in zip(spans, signed):
-            mag = np.abs(re)
-            at = np.flatnonzero(_is_peak(mag[:, :-2], mag[:, 1:-1], mag[:, 2:], floor))
-            row, col = np.divmod(at, mag.shape[1] - 2)
-            found[row] = True
-            at += 2 * row + 1  # each peak's flat index into mag and re
-            m = mag.ravel()
-            inside = np.abs(centre[col] + _vertex(m[at - 1], m[at], m[at + 1]) * dnu
-                            - nu) <= window
-            row, at = row[inside], at[inside]
-            order = np.lexsort((-m[at], row))  # stable: by row, then by falling |amplitude|
-            row, at = row[order], at[order]
-            first = np.searchsorted(row, row)  # the row's first largest |amplitude|
-            lines[index, start + row] = re.ravel()[at[first]]
-        for i, re in _whole_rows(np.flatnonzero(~found), x, basis, n):
-            mag = np.abs(re)  # rare: no peak near either line, so look everywhere
-            peaks = _is_peak(mag[:, :-2], mag[:, 1:-1], mag[:, 2:], floor[i]).any(axis=1)
-            for j in np.flatnonzero(~peaks | (top[i] == 0.0)).tolist():
-                empty[start + i[j]] = UnclassifiableSpectrumError(
-                    why=NO_PEAKS if top[i[j]] else NO_SIGNAL)
-    return [empty.get(k) or classify_lines(a, b)
-            for k, (a, b) in enumerate(zip(*lines.tolist()))]
+    read = functools.partial(_read_peaks, (nu12, nu23), window, dnu)
+    for i, x, signed in _build(np.arange(total), coefs, spans):
+        lines[:, i], top[i], found[i] = read(len(i), signed)
+        floor = PEAK_THRESHOLD * top[i]
+        bound = _far_bound(*x, far)
+        ok = (bound <= top[i]) & (found[i] | (bound < floor))
+        for line, maxima in zip(lines[:, i], rest):
+            bound = _far_bound(*x, maxima)
+            ok &= (np.abs(line) > bound) | (bound < floor)
+        settled[i] = ok
+    axis = _frequency_axis(n, dwell)[1:-1]
+    for i, _, signed in _build(np.flatnonzero(~settled), coefs, [(axis, basis)]):
+        lines[:, i], top[i], found[i] = read(len(i), signed)
+    return [classify_lines(a, b) if peaked else
+            UnclassifiableSpectrumError(why=NO_PEAKS if scale else NO_SIGNAL)
+            for a, b, scale, peaked in zip(*lines.tolist(), top.tolist(), found.tolist())]
 
 
-def _whole_rows(rows: np.ndarray, x, basis, n: int):
-    """(some of rows, their real spectra over all n bins) for the given rows
-    of the coefficient columns x = (x12, y12, x23, y23), CHUNK_BYTES at a time."""
-    step = max(1, CHUNK_BYTES // (8 * n))
-    buf = np.empty((min(step, len(rows)), n))
+def _build(rows: np.ndarray, coefs, spans):
+    """(some of rows, their coefficient columns, [(axis, Re over the span)])
+    for the given rows of coefs = (x12, y12, x23, y23) and each span (axis,
+    basis views) of _near_lines' form, CHUNK_BYTES at a time (one row at least)."""
+    width = sum(len(views[0]) for _, views in spans)
+    step = max(1, CHUNK_BYTES // (8 * max(width, 1)))
+    bufs = [np.empty((min(step, len(rows)), len(views[0]))) for _, views in spans]
     for start in range(0, len(rows), step):
         i = rows[start:start + step]
-        yield i, _combine(*(c[i] for c in x), basis, buf[:len(i)])
+        x = [c[i] for c in coefs]
+        yield i, x, [(axis, _combine(*x, views, buf[:len(i)]))
+                     for (axis, views), buf in zip(spans, bufs)]
+
+
+def _read_peaks(nus, window: float, dnu: float, k: int, signed):
+    """(lines, top, found) of k rows built over the spans signed = [(axis, Re)]:
+    the top |Re| over the spans, whether any tested bin peaks (the floor is
+    PEAK_THRESHOLD times the top), and the (2, k) Re of the largest-|Re| peak
+    of any span within window of each line of nus, the lowest if tied, or 0.0."""
+    top = np.zeros(k)
+    for _, re in signed:
+        np.maximum(top, np.maximum(re.max(axis=1), -re.min(axis=1)), out=top)
+    floor = (PEAK_THRESHOLD * top)[:, None]
+    lines, found = np.zeros((2, k)), np.zeros(k, bool)
+    for axis, re in signed:
+        mag = np.abs(re)
+        at = np.flatnonzero(_is_peak(mag[:, :-2], mag[:, 1:-1], mag[:, 2:], floor))
+        row, col = np.divmod(at, mag.shape[1] - 2)
+        found[row] = True
+        at += 2 * row + 1  # each peak's flat index into mag and re
+        m = mag.ravel()
+        freq = axis[col] + _vertex(m[at - 1], m[at], m[at + 1]) * dnu
+        order = np.lexsort((-m[at], row))  # stable: by row, then by falling |Re|, then by bin
+        row, at, freq = row[order], at[order], freq[order]
+        for line, nu in zip(lines, nus):
+            inside = np.abs(freq - nu) <= window
+            near, best = row[inside], np.zeros(k)
+            best[near] = re.ravel()[at[inside][np.searchsorted(near, near)]]
+            # a peak's |Re| is > 0, so 0.0 is no peak; a tie keeps the lower span's
+            np.copyto(line, best, where=np.abs(best) > np.abs(line))
+    return lines, top, found
 
 
 def _line_window(nu12: float, nu23: float) -> float:

@@ -520,23 +520,26 @@ def test_one_vector_draw_equals_scalar_draws(seed, sigma):
     assert one.tobytes() == np.array([rng.normal(0.0, sigma) for _ in range(k)]).tobytes()
 
 
-def test_drawn_flips_wrap_to_360_and_clip_detection(monkeypatch):
+def test_drawn_flips_wrap_to_360_and_clip_detection():
     """A pulse that lands on 0 degrees turns 360, not 0; the last pulse, the
     detection pulse, is clipped to [1e-6, 360] instead."""
-    offsets = {0: [-90.0, 10.0, -40.0], 1: [1.0, 370.0, 400.0]}
-
-    class FixedDraws:
-        def __init__(self, seed):
-            self.offsets = offsets[seed]
-
-        def normal(self, loc, scale, size):
-            return np.array(self.offsets[:size])
-
-    monkeypatch.setattr(np.random, "default_rng", FixedDraws)
     events = [spin.Pulse("transition12", 90.0), spin.VirtualZ(2, 90.0),
               spin.Pulse("transition23", 350.0), *spectro.detection_events(30.0)]
-    flips = cli._draw_flips(RunConfig(pulse_angle_sigma_deg=5.0), events, [0, 1])
+    offsets = np.array([[-90.0, 10.0, -40.0], [1.0, 370.0, 400.0]])
+    flips = cli._wrap_flips(spin.pulse_flips(events), offsets)
     assert flips.tolist() == [[360.0, 360.0, 1e-6], [91.0, 360.0, 360.0]]
+
+
+def test_drawn_flips_equal_the_default_rng_rule():
+    """The flips of a noisy sweep row are _wrap_flips of default_rng([seed,
+    index, rep]).normal(0, sigma, K), byte for byte."""
+    cfg = RunConfig(pulse_angle_sigma_deg=5.0, seed=3)
+    events = cli.build_pulse_program(cli.resolve("f2")) + spectro.detection_events(30.0)
+    nominal = spin.pulse_flips(events)
+    seeds = [[3, 1, rep] for rep in range(50)]
+    offsets = np.array([np.random.default_rng(s).normal(0.0, 5.0, len(nominal)) for s in seeds])
+    assert (cli._draw_flips(cfg, events, seeds).tobytes()
+            == cli._wrap_flips(nominal, offsets).tobytes())
 
 
 def test_sweep_propagates_each_permutation_once(tmp_path, monkeypatch):

@@ -19,6 +19,7 @@ from qutrit_parity.spectro import (
     _basis,
     _combine,
     _far_bound,
+    _frequency_axis,
     _near_lines,
     ReadoutResult,
     Spectrum,
@@ -279,8 +280,8 @@ class TestCachedArrays:
         fid = synthesize_fid(single_coherence(), PARAMS, RELAX, n=64)
         key = *transition_frequencies(PARAMS), RELAX.t2, 64, fid.dwell
         basis = _basis(*key)
-        *_, spans, _ = _near_lines(*key)
-        views = [view for *_, span_views in spans for view in span_views]
+        _, _, spans, _, _ = _near_lines(*key)
+        views = [view for _, span_views in spans for view in span_views]
         assert len(views) == 8
         for cached in basis + tuple(views):
             with pytest.raises(ValueError):
@@ -392,17 +393,20 @@ class TestReadLines:
                   if o == ("0.0", "0.0", (UnclassifiableSpectrumError, NO_SIGNAL))]
         assert silent == np.flatnonzero(detection == 360.0).tolist() and silent
 
-    @pytest.mark.parametrize("rows", ["one", "chunk", "chunk + 1"])
+    @pytest.mark.parametrize("rows", ["one", "chunk - 1", "chunk", "chunk + 1"])
     def test_chunk_boundaries(self, rows):
+        """The drawn stack is sized from the chunk, so it reaches one row past
+        the first chunk whatever the spans' width."""
         cfg = cli.RunConfig()
         p, r = cfg.hamiltonian(), cfg.relaxation()
         key = *check_acquisition(p, r, cfg.n, cfg.dwell_s), r.t2, cfg.n, cfg.dwell_s
-        *_, spans, _ = _near_lines(*key)
-        width = sum(span.stop - span.start for _, _, span, _, _ in spans)  # bins built per row
+        _, _, spans, _, _ = _near_lines(*key)
+        width = sum(len(views[0]) for _, views in spans)  # bins built per row
         per_chunk = CHUNK_BYTES // (8 * width)  # one float64 per built bin
-        assert 1 < per_chunk < 200
-        count = {"one": 1, "chunk": per_chunk, "chunk + 1": per_chunk + 1}[rows]
-        cfg, rhos = _detected(-(-(per_chunk + 1) // 6), 20.0)
+        assert 1 < per_chunk
+        count = {"one": 1, "chunk - 1": per_chunk - 1, "chunk": per_chunk,
+                 "chunk + 1": per_chunk + 1}[rows]
+        cfg, rhos = _detected(-(-count // 6), 20.0)
         assert len(rhos) >= count
         assert_batch_matches_rows(cfg, rhos[:count])
 
@@ -423,61 +427,129 @@ class TestReadLines:
         assert readout.line12 == readout.line23 == low
 
 
-def _read_out_counting(cfg, rhos, monkeypatch):
-    """read_out's outcomes on rhos, and how many rows it built whole."""
-    whole, combine = [], spectro._combine
+def _read_out_counting(cfg, rhos, monkeypatch, half_widths=spectro.SPAN_HALF_WIDTHS):
+    """read_out's outcomes on rhos with spans of half_widths line half-widths,
+    and the rows it built whole, over all n bins."""
+    whole, build = [], spectro._build
 
-    def spy(*args):
-        out = args[-1]
-        if out.shape[1] == cfg.n:
-            whole.append(len(out))
-        return combine(*args)
+    def spy(rows, coefs, spans):
+        if len(spans[0][1][0]) == cfg.n:
+            whole.extend(rows.tolist())
+        return build(rows, coefs, spans)
 
     with monkeypatch.context() as patched:
-        patched.setattr(spectro, "_combine", spy)
-        readouts = read_out(rhos, cfg.hamiltonian(), cfg.relaxation(), cfg.n, cfg.dwell_s)
-    return readouts, sum(whole)
+        patched.setattr(spectro, "_build", spy)
+        patched.setattr(spectro, "SPAN_HALF_WIDTHS", half_widths)
+        _near_lines.cache_clear()
+        try:
+            readouts = read_out(rhos, cfg.hamiltonian(), cfg.relaxation(), cfg.n, cfg.dwell_s)
+        finally:
+            _near_lines.cache_clear()
+    return readouts, whole
+
+
+def _untested(spans, n, dwell):
+    """The mask of the bins that no span of _near_lines tests for a peak."""
+    tested = np.concatenate([axis for axis, _ in spans])
+    return ~np.isin(_frequency_axis(n, dwell), tested)
 
 
 class TestWholeRows:
-    """read_out builds a row whole only where the far bound or a missing peak needs it."""
+    """read_out builds a row whole only where a bound on the untested bins needs it."""
 
     @pytest.mark.parametrize("n", [DEFAULT_POINTS, 65536])
     def test_noisy_rows_build_only_the_spans(self, n, monkeypatch):
         cfg, rhos = _detected(20 if n == DEFAULT_POINTS else 4, 5.0, n=n)
         readouts, whole = _read_out_counting(cfg, rhos, monkeypatch)
-        assert whole == 0
+        assert whole == []
         assert [_outcome(r) for r in readouts] == [_outcome(_row_path(rho, cfg)) for rho in rhos]
 
     @pytest.mark.parametrize("t2_s", [0.050, 0.0005])
     def test_far_bound_holds_with_no_margin(self, t2_s):
-        """far holds the basis maxima outside the spans, and _far_bound is at
-        least every far bin's |Re| as _combine computes it, and equal to the
-        largest for a row with one nonzero coefficient."""
+        """Every bin is tested by one span, in ascending order, or bounded by
+        far; far and each line's rest hold the basis maxima over their bins.
+        _far_bound is at least every such bin's |Re| as _combine computes it,
+        and equal to the largest for a row with one nonzero coefficient."""
         cfg = cli.RunConfig(t2_s=t2_s)
         p, r = cfg.hamiltonian(), cfg.relaxation()
         key = *check_acquisition(p, r, cfg.n, cfg.dwell_s), r.t2, cfg.n, cfg.dwell_s
         basis = _basis(*key)
-        *_, spans, far = _near_lines(*key)
-        outside = np.ones(cfg.n, bool)
-        for _, _, span, _, _ in spans:
-            outside[span] = False
-        assert far == tuple(np.abs(b[outside]).max() for b in basis)
+        window, dnu, spans, far, rest = _near_lines(*key)
+        axis = np.concatenate([a for a, _ in spans])
+        assert (np.diff(axis) > 0).all()
+        untested = _untested(spans, cfg.n, cfg.dwell_s)
+        freqs = _frequency_axis(cfg.n, cfg.dwell_s)
+        regions = [untested] + [untested & (np.abs(freqs - nu) <= window + 2 * dnu)
+                                for nu in key[:2]]
+        for region in regions[1:]:
+            region[[0, -1]] = False  # an edge bin is never a peak
         rng = np.random.default_rng(7)
         x = rng.normal(size=(4, 64, 1)) * 10.0 ** rng.integers(-300, 300, size=(4, 64, 1))
         x[:, :4, 0] *= np.eye(4)  # row j: coefficient j alone
-        far_top = np.abs(_combine(*x, basis, np.empty((64, cfg.n)))[:, outside]).max(axis=1)
-        bound = _far_bound(*x, far)
-        assert np.array_equal(bound[:4], far_top[:4])
-        assert (bound >= far_top).all()
+        re = _combine(*x, basis, np.empty((64, cfg.n)))
+        for region, maxima in zip(regions, (far, *rest)):
+            assert maxima == tuple(np.abs(b[region]).max(initial=0.0) for b in basis)
+            top = np.abs(re[:, region]).max(axis=1, initial=0.0)
+            bound = _far_bound(*x, maxima)
+            assert np.array_equal(bound[:4], top[:4])
+            assert (bound >= top).all()
+        if t2_s == 0.050:  # the lines' half-width, 3.2 Hz, leaves rest bins to bound
+            assert all(max(maxima) > 0 for maxima in rest)
 
     def test_short_t2_rows_are_built_whole_and_read_as_the_row_path(self, monkeypatch):
-        """At T2 = 0.5 ms each line's half-width is ~640 Hz, so the bins outside the
+        """At T2 = 0.5 ms each line's half-width is ~320 Hz, so the bins outside the
         spans can outweigh the bins inside them."""
         cfg, rhos = _detected(50, 5.0, t2_s=0.0005, t1_s=0.01)
         readouts, whole = _read_out_counting(cfg, rhos, monkeypatch)
-        assert 0 < whole < len(rhos)
+        assert 0 < len(whole) < len(rhos)
         assert [_outcome(r) for r in readouts] == [_outcome(_row_path(rho, cfg)) for rho in rhos]
+
+    @pytest.mark.parametrize("stack", ["n = 4096", "n = 65536", "short T2"])
+    def test_span_width_changes_no_outcome(self, stack, monkeypatch):
+        """SPAN_HALF_WIDTHS sets only how many rows are built whole: at 0 (the
+        nearest bins), at the default and at infinity (the whole line window)
+        every row reads out as the row path does, line bits included."""
+        fields = {"n = 4096": {}, "n = 65536": {"n": 65536},
+                  "short T2": {"t2_s": 0.0005, "t1_s": 0.01}}[stack]
+        cfg, rhos = _detected(4 if fields.get("n") else 20, 5.0, **fields)
+        reference = [_outcome(_row_path(rho, cfg)) for rho in rhos]
+        counts = {}
+        for half_widths in (0.0, spectro.SPAN_HALF_WIDTHS, np.inf):
+            readouts, whole = _read_out_counting(cfg, rhos, monkeypatch, half_widths)
+            assert [_outcome(r) for r in readouts] == reference, half_widths
+            counts[half_widths] = len(whole)
+        assert counts[0.0] > 0
+
+    def test_imaginary_minor_line_is_built_whole_past_its_rest_bound(self, monkeypatch):
+        """A real major line at nu12 and an imaginary minor one at nu23: the
+        minor line's dispersive extrema lie ~3 bins off it, outside spans of 0
+        half-widths, so its rest bound B_rest grows as |c23| / 2 and, past the
+        10% floor, cannot settle the row. Every row's far bound is below its
+        top, so the top lies in a span, and the major line peaks there: from
+        |c23| ~ 0.2 on, rows are built whole for the rest bound alone, and
+        every row reads out as the row path does."""
+        cfg = cli.RunConfig()
+        c23 = 1j * np.geomspace(1e-3, 0.6, 40)
+        rhos = np.zeros((len(c23), 3, 3), complex)
+        rhos[:, 1, 0] = rhos[:, 0, 1] = 1.0
+        rhos[:, 2, 1], rhos[:, 1, 2] = c23, c23.conj()
+        readouts, whole = _read_out_counting(cfg, rhos, monkeypatch, 0.0)
+        assert 0 < len(whole) < len(rhos)
+        assert [_outcome(r) for r in readouts] == [_outcome(_row_path(rho, cfg)) for rho in rhos]
+        p, r = cfg.hamiltonian(), cfg.relaxation()
+        key = *check_acquisition(p, r, cfg.n, cfg.dwell_s), r.t2, cfg.n, cfg.dwell_s
+        with monkeypatch.context() as patched:
+            patched.setattr(spectro, "SPAN_HALF_WIDTHS", 0.0)
+            _near_lines.cache_clear()
+            far = _near_lines(*key)[3]
+            _near_lines.cache_clear()
+        x = [np.ones((len(c23), 1)), np.zeros((len(c23), 1)), np.zeros((len(c23), 1)),
+             c23.imag[:, None]]
+        top = np.array([np.abs(spectrum(DensityMatrix(rho, "deviation"), p, r).amplitudes.real).max()
+                        for rho in rhos])
+        assert (_far_bound(*x, far) < top).all()
+        assert whole == list(range(whole[0], len(rhos)))  # every row past a threshold
+        assert abs(c23[whole[0]]) > 0.1
 
 
 #: entry magnitudes at the edges of what a double holds, and ordinary ones
