@@ -35,8 +35,9 @@ from .permutations import (
 
 ENV_OUTPUT_DIR = "QUTRIT_PARITY_OUTPUT_DIR"
 
-#: sweep --repeat bound, so each run's readout outcome (~320 B), the (R, K)
-#: flips and the (R, 3, 3) rows fit in memory
+#: sweep --repeat bound, so each run's readout outcome (~320 B), seeding state
+#: while drawing (~520 B), (R, K) flips and (R, 3, 3) rows fit in memory: with
+#: noise, peak RSS is ~40 MB at --repeat 1000 and ~263 MB at this bound
 MAX_REPEAT = 10**5
 
 

@@ -46,11 +46,11 @@ def _entropy_words(seed) -> list:
     return words
 
 
-def _pcg64_states(entropy: np.ndarray) -> list:
-    """The PCG64(SeedSequence(words)).state of each row of words in the (R,
-    L) uint32 array entropy: SeedSequence's mix_entropy into a pool of 4
+def _pcg64_states(entropy: np.ndarray):
+    """Yield the PCG64(SeedSequence(words)).state of each row of words in the
+    (R, L) uint32 array entropy: SeedSequence's mix_entropy into a pool of 4
     words and generate_state(4, uint64), on uint32 columns, then PCG64's
-    seeding steps on Python ints."""
+    seeding steps on Python ints, one row's state dict at a time."""
     const = _HASH_A
 
     def hashmix(value):
@@ -80,10 +80,8 @@ def _pcg64_states(entropy: np.ndarray) -> list:
         const = const * _MULT_B & _MASK32
         value = value * const
         state.append((value ^ value >> 16).astype(np.uint64))
-    states = []
     for s0, s1, i0, i1 in zip(*[(state[j] | state[j + 1] << 32).tolist() for j in (0, 2, 4, 6)]):
         inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
         seeded = ((s0 << 64 | s1) + inc) * _PCG_MULT + inc & _MASK128
-        states.append({"bit_generator": "PCG64", "state": {"state": seeded, "inc": inc},
-                       "has_uint32": 0, "uinteger": 0})
-    return states
+        yield {"bit_generator": "PCG64", "state": {"state": seeded, "inc": inc},
+               "has_uint32": 0, "uinteger": 0}

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import DensityMatrix, Operator3, check_density, check_unitary, rotate
+from .core import DensityMatrix, NonUnitaryError, Operator3, check_density, rotate
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -174,22 +174,23 @@ def with_flips(events, flips) -> list:
 
 def run_pulse_batch(rho0: DensityMatrix, events, flips) -> np.ndarray:
     """Apply events in time order to R copies of rho0 at once by crush and rotate,
-    row r turning the k-th pulse by flips[r, k] degrees. Each pulse propagator is
-    checked unitary, and the (R, 3, 3) rows at exit as entries of rho0's kind."""
+    row r turning the k-th pulse by flips[r, k] degrees. Flips are checked finite
+    at entry (a finite flip's closed-form propagator is unitary), and the (R, 3,
+    3) rows at exit as entries of rho0's kind."""
     events, flips = list(events), np.asarray(flips, dtype=float)
     if flips.ndim != 2 or flips.shape[1] != len(pulse_flips(events)):
         raise ValueError(f"need (R, K) flips for the K pulses, got {flips.shape}")
+    if not np.isfinite(flips).all():
+        r, k = np.argwhere(~np.isfinite(flips))[0]
+        raise NonUnitaryError(f"row {r}'s pulse {k} turns by {flips[r, k]} degrees", math.nan)
     rho = np.tile(rho0.entries, (len(flips), 1, 1))
     pulses = iter(flips.T)
     for event in events:
         if isinstance(event, GradientEvent):
             rho = crush(rho)
             continue
-        if isinstance(event, Pulse):
-            u = _pulse_matrices(event.target, next(pulses), event.phase_deg)
-            check_unitary(u)
-        else:
-            u = event_propagator(event).entries
+        u = (_pulse_matrices(event.target, next(pulses), event.phase_deg)
+             if isinstance(event, Pulse) else event_propagator(event).entries)
         rho = rotate(u, rho)
     check_density(rho, rho0.kind)
     return rho

@@ -6,7 +6,7 @@ import pytest
 
 from qutrit_parity import spin
 from qutrit_parity.cli import build_pulse_program
-from qutrit_parity.core import DensityMatrix, NonUnitaryError
+from qutrit_parity.core import ENTRY_TOL, DensityMatrix, NonUnitaryError
 from qutrit_parity.permutations import NAMED_MAPS
 from qutrit_parity.spectro import detection_events
 from qutrit_parity.spin import (
@@ -298,11 +298,14 @@ class TestRunPulseBatch:
                 want = reference_run(thermal_deviation(), with_flips(events, row_flips))
                 assert row.tobytes() == want.entries.tobytes(), events
 
-    def test_non_unitary_row_rejected(self):
-        flips = np.full((8, 1), 90.0)
-        flips[5, 0] = np.nan
-        with pytest.raises(NonUnitaryError):
-            run_pulse_batch(thermal_deviation(), [Pulse("transition12", 90.0)], flips)
+    @pytest.mark.parametrize("flip", [np.nan, np.inf, -np.inf])
+    def test_non_unitary_row_rejected(self, flip):
+        """A non-finite flip is refused at entry, naming its row, pulse and value."""
+        flips = np.full((8, 2), 90.0)
+        flips[5, 1] = flip
+        events = [Pulse("transition12", 90.0), Pulse("nonselective", 90.0)]
+        with pytest.raises(NonUnitaryError, match=f"row 5's pulse 1 turns by {flip} degrees"):
+            run_pulse_batch(thermal_deviation(), events, flips)
 
     def test_flip_columns_must_match_pulses(self):
         events = [Pulse("transition12", 90.0), VirtualZ(2, 90.0), Pulse("transition23", 90.0)]
@@ -343,3 +346,19 @@ def test_closed_forms_match_the_matrix_exponential():
             u = pulse_propagator(pl).entries
             worst = max(worst, float(np.max(np.abs(u - expm(-1j * generator(pl))))))
     assert worst <= 1e-14
+
+
+def test_every_finite_flip_gives_a_unitary_closed_form():
+    """The invariant that lets run_pulse_batch check flips, not matrices: for
+    every finite flip, down to +-0 and the smallest subnormal and up to +-the
+    largest double, each target's closed form is unitary within ENTRY_TOL."""
+    rng = np.random.default_rng(27)
+    tiny, huge = np.nextafter(0.0, 1.0), np.finfo(float).max
+    magnitudes = 10.0 ** rng.uniform(-320.0, 308.0, 2000)
+    flips = np.concatenate([[0.0, -0.0, tiny, -tiny, huge, -huge],
+                            magnitudes * rng.choice([-1.0, 1.0], magnitudes.size)])
+    for target in TARGETS:
+        for phase in (0.0, 90.0, 137.5, 359.9):
+            u = spin._pulse_matrices(target, flips, phase)
+            dev = np.max(np.abs(u @ u.conj().swapaxes(1, 2) - np.eye(3)), axis=(1, 2))
+            assert dev.max() <= ENTRY_TOL, (target, phase, flips[dev.argmax()])
