@@ -26,6 +26,7 @@ from .core import DensityMatrix
 from .permutations import (
     NAMED_MAPS,
     CauchyParseError,
+    Parity,
     PermutationMap,
     name_of,
     parity_by_counting,
@@ -35,10 +36,15 @@ from .permutations import (
 
 ENV_OUTPUT_DIR = "QUTRIT_PARITY_OUTPUT_DIR"
 
-#: sweep --repeat bound, so each run's readout outcome (~320 B), seeding state
-#: while drawing (~520 B), (R, K) flips and (R, 3, 3) rows fit in memory: with
-#: noise, peak RSS is ~40 MB at --repeat 1000 and ~263 MB at this bound
+#: sweep --repeat bound, which keeps a sweep's run time in check; its memory
+#: does not grow with --repeat, as it holds one block of repetitions at a time
 MAX_REPEAT = 10**5
+
+#: sweep draws, runs, reads out and writes this many repetitions at a time
+SWEEP_BLOCK = 4096
+
+#: the sweep.tsv verdict of each spectro outcome code
+VERDICTS = (Parity.EVEN.value, Parity.ODD.value) + ("unclassifiable",) * 3
 
 
 def _field(default, section: str, *, flag: str | None = None,
@@ -130,8 +136,11 @@ def load_config(path: str, cfg: RunConfig | None = None) -> RunConfig:
     return cfg
 
 
-def _atomic_write(path: str, text: str):
-    """Write path through a temporary file, with the mode open() would give."""
+def _atomic_write(path: str, text):
+    """Write path, a str or an iterable of str, through a temporary file, with
+    the mode open() would give; if text raises, path keeps what it held."""
+    if isinstance(text, str):
+        text = (text,)  # writelines would write a str one character at a time
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
@@ -139,7 +148,7 @@ def _atomic_write(path: str, text: str):
     os.umask(umask)
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            handle.writelines(text)
         os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
@@ -214,23 +223,24 @@ def cmd_run(cfg: RunConfig) -> int:
     else:
         program, rhos = run_pulse_experiment(cfg, perm, [cfg.seed])
         acquisition = cfg.hamiltonian(), cfg.relaxation(), cfg.n, cfg.dwell_s
-        readout = spectro.read_out(rhos, *acquisition)[0]
-        if isinstance(readout, spectro.UnclassifiableSpectrumError):
-            print(f"unclassifiable: {readout}", file=sys.stderr)
+        line12, line23, confidence, code = (c.item() for c in spectro.read_out(rhos, *acquisition))
+        if code not in (spectro.EVEN, spectro.ODD):
+            print(f"unclassifiable: {spectro.why(line12, line23, code)}", file=sys.stderr)
             return 2
         detected = DensityMatrix(rhos[0], "deviation")
         fid = spectro.synthesize_fid(detected, *acquisition)
+        readout = dict(verdict=VERDICTS[code], line12=line12, line23=line23, confidence=confidence)
         record["pulse_program"] = spin.program_to_records(program)
-        record["readout"] = readout.to_record()
-        record["verdict"] = readout.verdict.value
+        record["readout"] = readout
+        record["verdict"] = VERDICTS[code]
         _write_json(os.path.join(out, "pulse_program.json"), record["pulse_program"])
         _atomic_write(os.path.join(out, "fid.txt"), spectro.fid_to_text(fid))
         _atomic_write(os.path.join(out, "spectrum.txt"),
                       spectro.spectrum_to_text(spectro.spectrum(detected, *acquisition)))
-        _write_json(os.path.join(out, "readout.json"), readout.to_record())
+        _write_json(os.path.join(out, "readout.json"), readout)
         _write_json(os.path.join(out, "run_record.json"), record)
-        print(f"{name_of(perm)}: verdict {readout.verdict.value} "
-              f"(line12 {readout.line12:+.6g}, line23 {readout.line23:+.6g})")
+        print(f"{name_of(perm)}: verdict {VERDICTS[code]} "
+              f"(line12 {line12:+.6g}, line23 {line23:+.6g})")
 
     print(f"wall time {time.monotonic() - started:.3f} s", file=sys.stderr)
     return 0
@@ -242,26 +252,26 @@ def cmd_sweep(cfg: RunConfig, repetitions: int = 1) -> int:
     if ignored:
         print(f"warning: sweep runs all six permutations at the pulse level; "
               f"{' and '.join(ignored)} ignored", file=sys.stderr)
-    lines = ["permutation\trep\tverdict\tline12\tline23\tmatch"]
+    acquisition = cfg.hamiltonian(), cfg.relaxation(), cfg.n, cfg.dwell_s
     correct, total = 0, 6 * repetitions
-    for index, (name, perm) in enumerate(NAMED_MAPS.items()):
-        expected = parity_by_counting(perm)
-        _, rhos = run_pulse_experiment(
-            cfg, perm, [[cfg.seed, index, rep] for rep in range(repetitions)])
-        readouts = spectro.read_out(rhos, cfg.hamiltonian(), cfg.relaxation(),
-                                    cfg.n, cfg.dwell_s)
-        for rep, readout in enumerate(readouts):
-            classified = isinstance(readout, spectro.ReadoutResult)
-            match = classified and readout.verdict is expected
-            correct += match
-            verdict = readout.verdict.value if classified else "unclassifiable"
-            lines.append(f"{name}\t{rep}\t{verdict}\t{readout.line12!r}\t"
-                         f"{readout.line23!r}\t{match}")
-    accuracy = correct / total
-    lines.append(f"# accuracy = {correct}/{total} = {accuracy!r}")
-    _atomic_write(os.path.join(cfg.output_dir, "sweep.tsv"),
-                  "\n".join(lines) + "\n")
-    print(f"accuracy {correct}/{total} = {accuracy:.3f}")
+
+    def rows():
+        """sweep.tsv's lines, one block of SWEEP_BLOCK repetitions at a time."""
+        nonlocal correct
+        yield "permutation\trep\tverdict\tline12\tline23\tmatch\n"
+        for index, (name, perm) in enumerate(NAMED_MAPS.items()):
+            want = spectro.EVEN if parity_by_counting(perm) is Parity.EVEN else spectro.ODD
+            for start in range(0, repetitions, SWEEP_BLOCK):
+                reps = range(start, min(start + SWEEP_BLOCK, repetitions))
+                _, rhos = run_pulse_experiment(cfg, perm, [[cfg.seed, index, rep] for rep in reps])
+                line12, line23, _, codes = (c.tolist() for c in spectro.read_out(rhos, *acquisition))
+                correct += codes.count(want)
+                yield "".join(f"{name}\t{rep}\t{VERDICTS[code]}\t{a!r}\t{b!r}\t{code == want}\n"
+                              for rep, a, b, code in zip(reps, line12, line23, codes))
+        yield f"# accuracy = {correct}/{total} = {correct / total!r}\n"
+
+    _atomic_write(os.path.join(cfg.output_dir, "sweep.tsv"), rows())
+    print(f"accuracy {correct}/{total} = {correct / total:.3f}")
     return 0 if correct == total else 2
 
 

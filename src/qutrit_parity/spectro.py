@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ENTRY_TOL, DensityMatrix, _frozen, apply_unitary
-from .permutations import Parity
 from .spin import (
     GradientEvent,
     HamiltonianParams,
@@ -46,18 +45,9 @@ CHUNK_BYTES = 512 * 1024
 #: rest exactly, so this sets how many rows are built whole, never a result
 SPAN_HALF_WIDTHS = 4.0
 
-#: why read_out finds a spectrum without a peak unclassifiable
-NO_SIGNAL, NO_PEAKS = "spectrum has no signal", "no peaks to classify"
-
-
-class UnclassifiableSpectrumError(ValueError):
-    """Line pattern matches neither the even nor the odd signature; the
-    message is why, when given (NO_SIGNAL or NO_PEAKS)."""
-
-    def __init__(self, line12: float = 0.0, line23: float = 0.0, why: str = ""):
-        super().__init__(why or f"spectrum matches neither parity signature "
-                                f"(line12 = {line12:.6g}, line23 = {line23:.6g})")
-        self.line12, self.line23 = line12, line23
+#: read_out's outcome code of each run: its parity, or why it has none (lines
+#: that match neither signature, a spectrum without signal, or without a peak)
+EVEN, ODD, NEITHER, NO_SIGNAL, NO_PEAKS = range(5)
 
 
 @dataclass(frozen=True)
@@ -84,18 +74,6 @@ class Spectrum:
     @property
     def bin_width(self) -> float:
         return float(self.frequencies[1] - self.frequencies[0])
-
-
-@dataclass(frozen=True)
-class ReadoutResult:
-    verdict: Parity
-    line12: float
-    line23: float
-    confidence: float
-
-    def to_record(self) -> dict:
-        return {"verdict": self.verdict.value, "line12": self.line12,
-                "line23": self.line23, "confidence": self.confidence}
 
 
 def detection_events(flip_deg: float) -> list:
@@ -276,16 +254,17 @@ def _vertex(alpha, beta, gamma):
 
 
 def read_out(rhos: np.ndarray, p: HamiltonianParams, r: RelaxationParams,
-             n: int = DEFAULT_POINTS, dwell: float = DEFAULT_DWELL) -> list:
-    """The readout of each row of an (R, 3, 3) stack of detected deviations.
+             n: int = DEFAULT_POINTS, dwell: float = DEFAULT_DWELL) -> tuple:
+    """The readout of each row of an (R, 3, 3) stack of detected deviations, as
+    the columns (line12, line23, confidence, code) of R values each.
 
     Row k's outcome is read from Re, the real part of spectrum(row k). Its
     peaks are the bins whose |Re| is at least PEAK_THRESHOLD times the top |Re|
     of all bins, at least the lower neighbour's and above the upper one's
     (_is_peak), each at its frequency plus _vertex bins. line12 and line23 are
     the Re of the largest-|Re| peak (the lowest, if tied) within _line_window
-    of nu12 and nu23, or 0.0, and the outcome is classify_lines(line12,
-    line23); an all-zero spectrum is NO_SIGNAL, and one with no peak NO_PEAKS.
+    of nu12 and nu23, or 0.0, and the code and confidence are classify_lines'
+    on them; an all-zero spectrum is NO_SIGNAL, and one with no peak NO_PEAKS.
 
     Re is built, a chunk of rows at a time, only over the spans of
     _near_lines, and the spans' peaks are read (_read_peaks). For c = x + iy,
@@ -319,9 +298,9 @@ def read_out(rhos: np.ndarray, p: HamiltonianParams, r: RelaxationParams,
     axis = _frequency_axis(n, dwell)[1:-1]
     for i, _, signed in _build(np.flatnonzero(~settled), coefs, [(axis, basis)]):
         lines[:, i], top[i], found[i] = read(len(i), signed)
-    return [classify_lines(a, b) if peaked else
-            UnclassifiableSpectrumError(why=NO_PEAKS if scale else NO_SIGNAL)
-            for a, b, scale, peaked in zip(*lines.tolist(), top.tolist(), found.tolist())]
+    code, confidence = classify_lines(*lines)
+    code[~found] = np.where(top[~found] > 0.0, NO_PEAKS, NO_SIGNAL)
+    return lines[0], lines[1], confidence, code
 
 
 def _build(rows: np.ndarray, coefs, spans):
@@ -372,26 +351,35 @@ def _line_window(nu12: float, nu23: float) -> float:
     return max(0.25 * abs(nu23 - nu12), 1.0)
 
 
-def classify_lines(line12: float, line23: float):
-    """The even/odd rule: a ReadoutResult, or the UnclassifiableSpectrumError of
-    lines that match neither signature, returned rather than raised.
+def classify_lines(line12: np.ndarray, line23: np.ndarray) -> tuple:
+    """The even/odd rule on arrays of line amplitudes: (code, confidence), the
+    code EVEN, ODD or NEITHER.
 
     Even: a single dominant line at one transition (the other below 10% of
     it). Odd: comparable lines (ratio within [0.5, 2]) of opposite sign.
     Symmetric under a global sign flip and under the sign convention of the
-    quadrupolar coupling.
+    quadrupolar coupling. The confidence is 1 - small/big if even, and
+    small/big otherwise (nan where both lines are 0).
     """
-    a12, a23 = abs(line12), abs(line23)
-    if a12 == 0.0 and a23 == 0.0:
-        return UnclassifiableSpectrumError(line12, line23)
-    big, small = max(a12, a23), min(a12, a23)
-    # big > 0 here, so the confidence lies in (0.9, 1] if even, [0.5, 1] if odd;
-    # small == 0 is even too when PEAK_THRESHOLD * big underflows to 0
-    if small < PEAK_THRESHOLD * big or small == 0.0:
-        return ReadoutResult(Parity.EVEN, line12, line23, 1.0 - small / big)
-    if big / small <= 2.0 and line12 * line23 < 0.0:
-        return ReadoutResult(Parity.ODD, line12, line23, small / big)
-    return UnclassifiableSpectrumError(line12, line23)
+    big = np.maximum(np.abs(line12), np.abs(line23))
+    small = np.minimum(np.abs(line12), np.abs(line23))
+    # x / 0, 0 / 0 or a quotient past the largest double gives inf or nan, and
+    # only in rows that the rule leaves NEITHER or finds even without it
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = small / big
+        # big > 0 gives a confidence in (0.9, 1] if even, [0.5, 1] if odd;
+        # small == 0 is even too when PEAK_THRESHOLD * big underflows to 0
+        even = (big > 0.0) & ((small < PEAK_THRESHOLD * big) | (small == 0.0))
+        odd = ~even & (big / small <= 2.0) & (line12 * line23 < 0.0)
+    code = np.select([even, odd], [EVEN, ODD], NEITHER)
+    return code, np.where(even, 1.0 - ratio, ratio)
+
+
+def why(line12: float, line23: float, code: int) -> str:
+    """Why a run with these lines and outcome code has no parity."""
+    return {NO_SIGNAL: "spectrum has no signal", NO_PEAKS: "no peaks to classify"}.get(
+        code, f"spectrum matches neither parity signature (line12 = {line12:.6g}, "
+              f"line23 = {line23:.6g})")
 
 
 # --- columnar text export ---------------------------------------------------

@@ -84,8 +84,8 @@ def test_criterion_4_readout_signatures():
     even_ratio = (abs(r_even.line12) / abs(r_even.line23))
     r_odd = readout(odd)
     odd_error = abs(r_odd.line12 / r_odd.line23 + 1.0)
-    ok = (r_even.verdict is Parity.EVEN and even_ratio <= 0.01
-          and r_odd.verdict is Parity.ODD and odd_error <= 0.02)
+    ok = (r_even.code == spectro.EVEN and even_ratio <= 0.01
+          and r_odd.code == spectro.ODD and odd_error <= 0.02)
     report(4, ok, f"even |line12/line23| = {even_ratio:.3g}, "
                   f"odd |line12/line23 + 1| = {odd_error:.3g}")
 

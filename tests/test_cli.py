@@ -8,6 +8,7 @@ import platform
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -554,6 +555,71 @@ def test_sweep_propagates_each_permutation_once(tmp_path, monkeypatch):
     assert main(["sweep", "--noise-sigma-deg", "5", "--repeat", "50",
                  "--output-dir", str(tmp_path)]) in (0, 2)
     assert calls == [50] * 6
+
+
+@pytest.mark.parametrize("repeat, blocks", [(6, [6]), (7, [7]), (8, [7, 1]), (15, [7, 7, 1])])
+def test_sweep_blocks_change_no_byte(tmp_path, monkeypatch, capsys, repeat, blocks):
+    """A noisy sweep run in blocks of 7 repetitions writes the sweep.tsv and
+    stdout of one block per permutation: below, at and past one block, and past two."""
+    argv = ["sweep", "--noise-sigma-deg", "5", "--repeat", str(repeat), "--seed", "1"]
+    assert main([*argv, "--output-dir", str(tmp_path / "whole")]) in (0, 2)
+    whole = capsys.readouterr().out
+    batches, experiment = [], cli.run_pulse_experiment
+
+    def counted(cfg, perm, seeds):
+        batches.append(len(seeds))
+        return experiment(cfg, perm, seeds)
+
+    monkeypatch.setattr(cli, "SWEEP_BLOCK", 7)
+    monkeypatch.setattr(cli, "run_pulse_experiment", counted)
+    assert main([*argv, "--output-dir", str(tmp_path / "blocks")]) in (0, 2)
+    assert capsys.readouterr().out == whole
+    assert batches == blocks * 6
+    assert read(tmp_path / "blocks" / "sweep.tsv") == read(tmp_path / "whole" / "sweep.tsv")
+
+
+def test_sweep_memory_is_flat_in_repeat(tmp_path, monkeypatch, capsys):
+    """A sweep holds one block of repetitions at a time, so its traced peak at
+    --repeat 512 stays below 1.5 times its peak at --repeat 128 (both in
+    blocks of 64; measured 0.19 against 0.18 MiB). Holding each run's outcome
+    object and sweep.tsv line until the end, it grew 0.35 -> 1.21 MiB."""
+    monkeypatch.setattr(cli, "SWEEP_BLOCK", 64)
+
+    def peak(repeat):
+        tracemalloc.start()
+        try:
+            assert main(["sweep", "--noise-sigma-deg", "5", "--repeat", str(repeat),
+                         "--output-dir", str(tmp_path / str(repeat))]) in (0, 2)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(64)  # the cached gates and basis spectra, and the seeding import
+    small, large = peak(128), peak(512)
+    assert large < 1.5 * small, (small, large)
+
+
+def test_sweep_failing_mid_stream_keeps_the_old_file(tmp_path, monkeypatch):
+    """A readout that raises on the second block propagates; the temporary
+    file that the first block went to is removed, and sweep.tsv keeps its bytes."""
+    (tmp_path / "sweep.tsv").write_bytes(b"old sweep\n")
+    calls, read_out = [], spectro.read_out
+
+    def failing(rhos, *acquisition):
+        calls.append(len(rhos))
+        if len(calls) == 2:
+            assert any(p.name.startswith(".tmp-") for p in tmp_path.iterdir())
+            raise RuntimeError("readout failed")
+        return read_out(rhos, *acquisition)
+
+    monkeypatch.setattr(cli, "SWEEP_BLOCK", 7)
+    monkeypatch.setattr(spectro, "read_out", failing)
+    with pytest.raises(RuntimeError, match="^readout failed$"):
+        main(["sweep", "--noise-sigma-deg", "5", "--repeat", "10",
+              "--output-dir", str(tmp_path)])
+    assert calls == [7, 3]
+    assert [p.name for p in tmp_path.iterdir()] == ["sweep.tsv"]
+    assert read(tmp_path / "sweep.tsv") == b"old sweep\n"
 
 
 def test_unclassifiable_sweep_rows_carry_measured_lines(tmp_path):

@@ -62,8 +62,8 @@ def test_lines_match_the_closed_form_spectrum(sigma, repeat):
     cfg, rhos = _rows(sigma, repeat)
     acquisition = cfg.hamiltonian(), cfg.relaxation(), cfg.n, cfg.dwell_s
     checked = 0
-    for k, (rho, readout) in enumerate(zip(rhos, read_out(rhos, *acquisition))):
-        lines = readout.line12, readout.line23
+    line12, line23, _, _ = read_out(rhos, *acquisition)
+    for k, (rho, *lines) in enumerate(zip(rhos, line12.tolist(), line23.tolist())):
         if not any(lines):
             continue
         re = spectrum(DensityMatrix(rho, "deviation"), *acquisition).amplitudes.real

@@ -7,23 +7,24 @@ from hypothesis import strategies as st
 
 from qutrit_parity import cli, spectro
 from qutrit_parity.core import ENTRY_TOL, DensityMatrix
-from qutrit_parity.permutations import NAMED_MAPS, Parity
+from qutrit_parity.permutations import NAMED_MAPS
 from qutrit_parity.spectro import (
     CHUNK_BYTES,
     DEFAULT_DWELL,
     DEFAULT_POINTS,
+    EVEN,
     FID,
+    NEITHER,
     NO_PEAKS,
     NO_SIGNAL,
+    ODD,
     PEAK_THRESHOLD,
     _basis,
     _combine,
     _far_bound,
     _frequency_axis,
     _near_lines,
-    ReadoutResult,
     Spectrum,
-    UnclassifiableSpectrumError,
     check_acquisition,
     classify_lines,
     detect,
@@ -41,7 +42,7 @@ from qutrit_parity.spin import (
     run_pulse_program,
     transition_frequencies,
 )
-from row_readout import Peak, classify_spectrum, pick_peaks
+from row_readout import Peak, Readout, classify_spectrum, pick_peaks, read_spectrum
 
 EPS = np.finfo(float).eps
 PARAMS = HamiltonianParams(lambda_q=2 * np.pi * 156.0)
@@ -172,8 +173,10 @@ class TestPickPeaks:
         assert abs(peaks[1].frequency - 468.0) < 0.5 * s.bin_width
 
     def test_empty_spectrum_rejected(self):
-        with pytest.raises(UnclassifiableSpectrumError, match=f"^{NO_SIGNAL}$"):
-            pick_peaks(transform(FID(np.zeros(64, complex), 1e-3)))
+        s = transform(FID(np.zeros(64, complex), 1e-3))
+        assert pick_peaks(s) == []
+        r = read_spectrum(s, PARAMS)
+        assert (r.line12, r.line23, r.code) == (0.0, 0.0, NO_SIGNAL)
 
     def test_plateau_peaks_at_its_later_bin(self):
         """Bins 2 and 3 share the top |Re| with opposite signs: only the later
@@ -190,35 +193,47 @@ class TestPickPeaks:
 class TestClassifySpectrum:
     def test_single_line_at_nu23_even(self):
         r = classify_spectrum([Peak(468.0, 5.0)], PARAMS)
-        assert r.verdict is Parity.EVEN
+        assert r.code == EVEN
         assert r.line23 == 5.0 and r.line12 == 0.0
         assert r.confidence == 1.0
 
     def test_equal_and_opposite_odd(self):
         peaks = [Peak(-468.0, 4.0), Peak(468.0, -4.0)]
         r = classify_spectrum(peaks, PARAMS)
-        assert r.verdict is Parity.ODD
+        assert r.code == ODD
         assert r.line12 == 4.0 and r.line23 == -4.0
         assert r.confidence == 1.0
 
     def test_same_sign_comparable_unclassifiable(self):
         peaks = [Peak(-468.0, 4.0), Peak(468.0, 4.0)]
-        with pytest.raises(UnclassifiableSpectrumError):
-            classify_spectrum(peaks, PARAMS)
+        assert classify_spectrum(peaks, PARAMS).code == NEITHER
 
     def test_intermediate_ratio_unclassifiable(self):
         peaks = [Peak(-468.0, 1.0), Peak(468.0, -4.0)]
-        with pytest.raises(UnclassifiableSpectrumError):
-            classify_spectrum(peaks, PARAMS)
+        assert classify_spectrum(peaks, PARAMS).code == NEITHER
 
     def test_single_subnormal_line_even(self):
         """PEAK_THRESHOLD * 5e-324 underflows to 0, yet one line alone is even."""
-        readout = classify_lines(5e-324, 0.0)
-        assert (readout.verdict, readout.confidence) == (Parity.EVEN, 1.0)
+        code, confidence = classify_lines(np.array([5e-324]), np.array([0.0]))
+        assert (code.tolist(), confidence.tolist()) == ([EVEN], [1.0])
 
     def test_no_peaks_rejected(self):
-        with pytest.raises(UnclassifiableSpectrumError, match=f"^{NO_PEAKS}$"):
-            classify_spectrum([], PARAMS)
+        assert classify_spectrum([], PARAMS).code == NO_PEAKS
+
+    def test_columns_classify_each_row_alone(self):
+        """classify_lines on a column of line pairs gives each row what it gives
+        that pair alone, confidence bits included, at the rule's edges: no
+        line, subnormal lines, the 10% and ratio-2 boundaries, equal signs."""
+        edges = [0.0, -0.0, 5e-324, 1e-300, 0.1, 0.1 + 2**-56, 0.5, 1.0, 2.0, 2.0 + 2**-51,
+                 10.0, 1.7e308]
+        pairs = [(a, sign * b) for a in edges for b in edges for sign in (1.0, -1.0)]
+        line12, line23 = np.array(pairs).T
+        codes, confidences = classify_lines(line12, line23)
+        for k, (a, b) in enumerate(pairs):
+            code, confidence = classify_lines(np.array([a]), np.array([b]))
+            assert codes[k] == code[0], (a, b)
+            assert repr(confidences[k]) == repr(confidence[0]), (a, b)
+        assert set(codes.tolist()) == {EVEN, ODD, NEITHER}
 
     def test_invariant_under_positive_scaling(self):
         for dev in (EVEN_DEVIATION, ODD_DEVIATION):
@@ -244,12 +259,12 @@ def _pipeline_verdict(deviation, params):
     detected = detect(deviation, 30.0)
     fid = synthesize_fid(detected, params, RELAX)
     peaks = pick_peaks(transform(fid))
-    verdict = classify_spectrum(peaks, params).verdict
-    [readout] = read_out(detected.entries[None], params, RELAX)
+    code = classify_spectrum(peaks, params).code
+    [readout] = _readouts(detected.entries[None], params, RELAX)
     reference = classify_spectrum(pick_peaks(spectrum(detected, params, RELAX)), params)
     assert _outcome(readout) == _outcome(reference)
-    assert readout.verdict is verdict
-    return verdict
+    assert readout.code == code
+    return code
 
 
 class TestExports:
@@ -320,27 +335,27 @@ def _detected(repeat, sigma, **fields):
     return cfg, np.concatenate(rows)
 
 
+def _readouts(rhos, *acquisition):
+    """read_out's columns for rhos, as one Readout per row."""
+    return [Readout(*row) for row in zip(*(c.tolist() for c in read_out(rhos, *acquisition)))]
+
+
 def _outcome(readout):
-    """(repr line12, repr line23, verdict or (exception type, message)) of a readout."""
-    verdict = (readout.verdict if isinstance(readout, ReadoutResult)
-               else (type(readout), str(readout)))
-    return repr(readout.line12), repr(readout.line23), verdict
+    """(repr line12, repr line23, code, repr confidence or None if unclassified)
+    of a Readout."""
+    line12, line23, confidence, code = readout
+    return repr(line12), repr(line23), code, repr(confidence) if code in (EVEN, ODD) else None
 
 
 def _row_path(rho, cfg):
-    """The reference readout, classify_spectrum(pick_peaks(spectrum(rho))), or
-    what it raises."""
+    """The reference readout, read_spectrum(spectrum(rho))."""
     p, r = cfg.hamiltonian(), cfg.relaxation()
-    s = spectrum(DensityMatrix(rho, "deviation"), p, r, cfg.n, cfg.dwell_s)
-    try:
-        return classify_spectrum(pick_peaks(s), p)
-    except UnclassifiableSpectrumError as exc:
-        return exc
+    return read_spectrum(spectrum(DensityMatrix(rho, "deviation"), p, r, cfg.n, cfg.dwell_s), p)
 
 
 def assert_batch_matches_rows(cfg, rhos):
     """read_out equals the row-by-row spectrum path on every row; its outcomes."""
-    readouts = read_out(rhos, cfg.hamiltonian(), cfg.relaxation(), cfg.n, cfg.dwell_s)
+    readouts = _readouts(rhos, cfg.hamiltonian(), cfg.relaxation(), cfg.n, cfg.dwell_s)
     assert len(readouts) == len(rhos)
     for k, (readout, rho) in enumerate(zip(readouts, rhos)):
         assert _outcome(readout) == _outcome(_row_path(rho, cfg)), k
@@ -352,9 +367,9 @@ class TestReadLines:
 
     def test_noisy_sweep_stack(self):
         cfg, rhos = _detected(200, 20.0)
-        verdicts = [_outcome(r)[2] for r in assert_batch_matches_rows(cfg, rhos)]
-        assert Parity.EVEN in verdicts and Parity.ODD in verdicts
-        assert any(isinstance(v, tuple) for v in verdicts)  # and unclassifiable rows
+        codes = [r.code for r in assert_batch_matches_rows(cfg, rhos)]
+        assert EVEN in codes and ODD in codes
+        assert set(codes) - {EVEN, ODD}  # and unclassifiable rows
 
     def test_scrambled_by_heavy_noise(self):
         assert_batch_matches_rows(*_detected(30, 90.0))
@@ -372,13 +387,11 @@ class TestReadLines:
         cfg, rhos = _detected(20, 30.0, n=n)
         readouts = assert_batch_matches_rows(cfg, rhos)
         if n == 2:  # no bin lies between the two edge bins
-            assert {_outcome(r)[2] for r in readouts} == {
-                (UnclassifiableSpectrumError, NO_PEAKS)}
+            assert {r.code for r in readouts} == {NO_PEAKS}
 
     def test_all_zero_deviation_has_no_signal(self):
         readouts = assert_batch_matches_rows(cli.RunConfig(), np.zeros((3, 3, 3), complex))
-        assert [_outcome(r) for r in readouts] == [
-            ("0.0", "0.0", (UnclassifiableSpectrumError, NO_SIGNAL))] * 3
+        assert [_outcome(r) for r in readouts] == [("0.0", "0.0", NO_SIGNAL, None)] * 3
 
     def test_rounding_level_coherences_have_no_signal(self):
         """A detection flip clipped to 360 degrees is the identity, so what
@@ -390,7 +403,7 @@ class TestReadLines:
             for k, perm in enumerate(NAMED_MAPS.values())])
         outcomes = [_outcome(r) for r in assert_batch_matches_rows(cfg, rhos)]
         silent = [k for k, o in enumerate(outcomes)
-                  if o == ("0.0", "0.0", (UnclassifiableSpectrumError, NO_SIGNAL))]
+                  if o == ("0.0", "0.0", NO_SIGNAL, None)]
         assert silent == np.flatnonzero(detection == 360.0).tolist() and silent
 
     @pytest.mark.parametrize("rows", ["one", "chunk - 1", "chunk", "chunk + 1"])
@@ -442,7 +455,7 @@ def _read_out_counting(cfg, rhos, monkeypatch, half_widths=spectro.SPAN_HALF_WID
         patched.setattr(spectro, "SPAN_HALF_WIDTHS", half_widths)
         _near_lines.cache_clear()
         try:
-            readouts = read_out(rhos, cfg.hamiltonian(), cfg.relaxation(), cfg.n, cfg.dwell_s)
+            readouts = _readouts(rhos, cfg.hamiltonian(), cfg.relaxation(), cfg.n, cfg.dwell_s)
         finally:
             _near_lines.cache_clear()
     return readouts, whole

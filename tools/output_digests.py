@@ -43,6 +43,8 @@ COMMANDS = {
     # 2**64 takes three entropy words, so each repetition's seed takes five
     "sweep-noisy-seed-2-64": ["sweep", "--noise-sigma-deg", "5", "--repeat", "20", "--seed",
                               "18446744073709551616"],
+    # one repetition past a 4096-repetition block of the sweep
+    "sweep-noisy-4097": ["sweep", "--noise-sigma-deg", "5", "--repeat", "4097", "--seed", "5"],
     "sweep-noise-20": ["sweep", "--noise-sigma-deg", "20", "--repeat", "50", "--seed", "4"],
     "sweep-short-t2": ["sweep", "--noise-sigma-deg", "5", "--repeat", "50", "--t2-s", "0.0005",
                        "--t1-s", "0.01", "--seed", "3"],
