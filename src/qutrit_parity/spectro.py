@@ -49,6 +49,9 @@ SPAN_HALF_WIDTHS = 4.0
 #: that match neither signature, a spectrum without signal, or without a peak)
 EVEN, ODD, NEITHER, NO_SIGNAL, NO_PEAKS = range(5)
 
+#: the text exports format and join this many rows at a time
+EXPORT_BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class FID:
@@ -111,10 +114,16 @@ def synthesize_fid(rho: DensityMatrix, p: HamiltonianParams, r: RelaxationParams
     in 1-based level indices, both transitions weighted equally. Coherences
     at rounding level (_coherences) give no signal.
     """
-    tone12, tone23, decay = _tones(*check_acquisition(p, r, n, dwell), r.t2, n, dwell)
+    nu12, nu23 = check_acquisition(p, r, n, dwell)
+    t, decay = _times(r.t2, n, dwell)
     c12, c23 = _coherences(rho.entries[None])
+    fid, tone = _tone(nu12, t, np.empty(n, complex)), _tone(nu23, t, np.empty(n, complex))
     # coefficient first: numpy rounds c * arr and arr * c differently for complex
-    return FID(((c12 * tone12 + c23 * tone23) * decay)[0], dwell)
+    np.multiply(c12[0], fid, out=fid)
+    np.multiply(c23[0], tone, out=tone)
+    fid += tone
+    fid *= decay
+    return FID(fid, dwell)
 
 
 def _coherences(rhos: np.ndarray):
@@ -126,23 +135,30 @@ def _coherences(rhos: np.ndarray):
     return np.where(silent, 0.0, c12), np.where(silent, 0.0, c23)
 
 
-def _tones(nu12: float, nu23: float, t2: float, n: int, dwell: float):
-    """exp(2 pi i nu12 t), exp(2 pi i nu23 t) and exp(-t/T2); not cached, as
-    a sweep needs them only to build _basis, which is."""
+def _times(t2: float, n: int, dwell: float):
+    """The sample times t = k dwell and the decay exp(-t / T2)."""
     t = np.arange(n) * dwell
-    return np.exp(2j * np.pi * nu12 * t), np.exp(2j * np.pi * nu23 * t), np.exp(-t / t2)
+    decay = -t
+    decay /= t2
+    return t, np.exp(decay, out=decay)
+
+
+def _tone(nu: float, t: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """exp(2 pi i nu t), built in the complex array out."""
+    return np.exp(np.multiply(2j * np.pi * nu, t, out=out), out=out)
 
 
 @functools.lru_cache(maxsize=4)
 def _basis(nu12: float, nu23: float, t2: float, n: int, dwell: float):
     """Read-only real and imaginary parts (P12, Q12, P23, Q23) of the spectra
     of the unit damped tones tone12 * decay and tone23 * decay, in transform's
-    bin order."""
-    tone12, tone23, decay = _tones(nu12, nu23, t2, n, dwell)
-    parts = []
-    for tone in (tone12, tone23):
-        s = transform(FID(tone * decay, dwell)).amplitudes
-        parts += [_frozen(s.real), _frozen(s.imag)]
+    bin order. Each tone is built and transformed in one buffer."""
+    t, decay = _times(t2, n, dwell)
+    tone, parts = np.empty(n, complex), []
+    for nu in (nu12, nu23):
+        np.fft.fft(np.multiply(_tone(nu, t, tone), decay, out=tone), out=tone)
+        for part in (tone.real, tone.imag):
+            parts.append(_frozen(_bin_order(part, np.empty(n))))
     return tuple(parts)
 
 
@@ -228,16 +244,22 @@ def transform(fid: FID) -> Spectrum:
     at its +Nyquist alias. A damped tone becomes a Lorentzian of full width
     1/(pi T2) at half maximum, half-width 1/(2 pi T2).
     """
-    n = len(fid.samples)
-    # one roll: fftshift's n/2, then one bin down for the Nyquist alias
-    amps = np.roll(np.fft.fft(fid.samples), n // 2 - 1)
-    return Spectrum(_frequency_axis(n, fid.dwell), amps)
+    amps = np.fft.fft(fid.samples)
+    return Spectrum(_frequency_axis(len(amps), fid.dwell), _bin_order(amps, np.empty_like(amps)))
+
+
+def _bin_order(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """x, in FFT order, written into out in transform's bin order: one roll,
+    fftshift's n/2, then one bin down for the Nyquist alias."""
+    shift = len(x) // 2 - 1
+    out[shift:], out[:shift] = x[:len(x) - shift], x[len(x) - shift:]
+    return out
 
 
 @functools.lru_cache(maxsize=4)
 def _frequency_axis(n: int, dwell: float) -> np.ndarray:
     """Read-only ascending axis of transform, in Hz."""
-    freqs = np.roll(np.fft.fftshift(np.fft.fftfreq(n, dwell)), -1)
+    freqs = _bin_order(np.fft.fftfreq(n, dwell), np.empty(n))
     freqs[-1] = -freqs[-1]  # -Nyquist bin aliased to +Nyquist
     return _frozen(freqs)
 
@@ -386,17 +408,29 @@ def why(line12: float, line23: float, code: int) -> str:
 
 def spectrum_to_text(s: Spectrum) -> str:
     """One row per bin: frequency_hz, real, imag, magnitude."""
-    lines = ["# frequency_hz real imag magnitude"]
-    # Python floats and complexes: a numpy scalar's repr is "np.float64(...)",
-    # and np.abs may differ from abs() in the last digit
-    for f, a in zip(s.frequencies.tolist(), s.amplitudes.tolist()):
-        lines.append(f"{f!r} {a.real!r} {a.imag!r} {abs(a)!r}")
-    return "\n".join(lines) + "\n"
+
+    def rows(a: int, b: int) -> str:
+        # Python floats and complexes: a numpy scalar's repr is "np.float64(...)",
+        # and np.abs may differ from abs() in the last digit
+        return "".join([f"{f!r} {z.real!r} {z.imag!r} {abs(z)!r}\n" for f, z in
+                        zip(s.frequencies[a:b].tolist(), s.amplitudes[a:b].tolist())])
+
+    return _join("# frequency_hz real imag magnitude\n", len(s.frequencies), rows)
 
 
 def fid_to_text(fid: FID) -> str:
     """One row per sample: time_s, real, imag."""
-    lines = ["# time_s real imag"]
-    for k, z in enumerate(fid.samples.tolist()):
-        lines.append(f"{k * fid.dwell!r} {z.real!r} {z.imag!r}")
-    return "\n".join(lines) + "\n"
+
+    def rows(a: int, b: int) -> str:
+        return "".join([f"{k * fid.dwell!r} {z.real!r} {z.imag!r}\n"
+                        for k, z in enumerate(fid.samples[a:b].tolist(), a)])
+
+    return _join("# time_s real imag\n", len(fid.samples), rows)
+
+
+def _join(header: str, n: int, rows) -> str:
+    """header and then rows(a, b), the text of rows a to b - 1, formatted for
+    one block of EXPORT_BLOCK rows at a time: only one block's Python values
+    and line strings are held at once."""
+    blocks = (rows(a, a + EXPORT_BLOCK) for a in range(0, n, EXPORT_BLOCK))
+    return "".join([header, *blocks])

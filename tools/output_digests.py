@@ -49,6 +49,10 @@ COMMANDS = {
     "sweep-short-t2": ["sweep", "--noise-sigma-deg", "5", "--repeat", "50", "--t2-s", "0.0005",
                        "--t1-s", "0.01", "--seed", "3"],
     "run-pulse-hires": ["run", "--permutation", "f2", "--n", "65536"],
+    # exports of more than one block of rows, and a sweep at the largest n
+    "run-pulse-n-131072": ["run", "--n", "131072"],
+    "sweep-noisy-n-2-20": ["sweep", "--noise-sigma-deg", "5", "--repeat", "2", "--seed", "3",
+                           "--n", "1048576"],
     "run-lambda-700": ["run", "--lambda-q-hz", "700"],
     **{f"run-pulse-{p}-detect-360": ["run", "--permutation", p, "--detection-flip-deg", "360"]
        for p in ("f1", "f4")},
