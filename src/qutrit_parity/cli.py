@@ -172,8 +172,9 @@ def build_pulse_program(p: PermutationMap) -> list:
 
 def _draw_flips(cfg: RunConfig, events, seeds) -> np.ndarray:
     """(R, K) flips of the K pulses of events, one row per seed. With noise,
-    row r adds the K offsets default_rng(seeds[r]).normal(0, sigma, K)
-    (seeding.normal_draws) by _wrap_flips."""
+    row r adds the K offsets default_rng(seeds[r]).normal(0, sigma, K) by
+    _wrap_flips; seeding.normal_draws computes their bytes without importing
+    numpy.random."""
     nominal, sigma = spin.pulse_flips(events), cfg.pulse_angle_sigma_deg
     if sigma == 0:
         return np.tile(nominal, (len(seeds), 1))

@@ -1,37 +1,45 @@
-"""default_rng(seed).normal for many seeds at once, bit for bit.
+"""default_rng(seed).normal for many seeds at once, bit for bit, without numpy.random.
 
 A sweep draws each repetition's pulse-angle noise from its own
 numpy.random.default_rng([seed, index, rep]). Building one generator per
-repetition costs more than the draws, so normal_draws runs SeedSequence's
-hash (its entropy pool, mix_entropy and generate_state) on uint32 columns for
-every seed at once, then sets one PCG64 to each seed's state in turn and
-draws from it with Generator.normal.
+repetition costs more than the draws, and importing numpy.random costs a cold
+process more than both, so normal_draws computes the same bytes itself:
+SeedSequence's hash (its entropy pool, mix_entropy and generate_state) on uint32
+columns for every seed at once, then PCG64 (XSL-RR output) and NumPy's ziggurat
+normal (random_standard_normal) on (hi, lo) uint64 limb columns, one draw of
+every row at a time. The ~1.5% of draws that miss the ziggurat's fast path finish
+in Python ints and libm (math.log1p, math.exp), as NumPy's C code does.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from . import _ziggurat as zig
 
 #: the constants of numpy.random.SeedSequence's hash and of PCG64's 128-bit
 #: multiplier; NumPy keeps both streams stable across versions
 _HASH_A, _MULT_A, _HASH_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R, _PCG_MULT = 0xCA01F9DD, 0x4973F715, 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+_MASK32, _MASK52, _MASK64, _MASK128 = 2**32 - 1, 2**52 - 1, 2**64 - 1, 2**128 - 1
+_MULT_HI, _MULT_LO = _PCG_MULT >> 64, _PCG_MULT & _MASK64
+_KI, _WI = np.array(zig.KI, np.uint64), np.array(zig.WI)
 
 
 def normal_draws(seeds, sigma: float, k: int) -> np.ndarray:
     """(R, k) draws whose row r is default_rng(seeds[r]).normal(0, sigma, k),
     for seeds that are ints >= 0 or lists of them. The rows with as many
-    entropy words share one pass of _pcg64_states."""
+    entropy words share one pass of _pcg64_states and _standard_normal."""
     words = [_entropy_words(seed) for seed in seeds]
     out = np.empty((len(seeds), k))
-    bitgen = np.random.PCG64(0)
-    normal = np.random.Generator(bitgen).normal
     for length in set(map(len, words)):
         rows = [r for r, w in enumerate(words) if len(w) == length]
-        for r, state in zip(rows, _pcg64_states(np.array([words[r] for r in rows], np.uint32))):
-            bitgen.state = state
-            out[r] = normal(0.0, sigma, k)
+        entropy = np.array([words[r] for r in rows], np.uint32)
+        out[rows] = _standard_normal(*_pcg64_states(entropy), k)
+    out *= sigma
+    out += 0.0  # Generator.normal's loc + scale * z, which turns -0.0 into 0.0
     return out
 
 
@@ -46,11 +54,12 @@ def _entropy_words(seed) -> list:
     return words
 
 
-def _pcg64_states(entropy: np.ndarray):
-    """Yield the PCG64(SeedSequence(words)).state of each row of words in the
-    (R, L) uint32 array entropy: SeedSequence's mix_entropy into a pool of 4
-    words and generate_state(4, uint64), on uint32 columns, then PCG64's
-    seeding steps on Python ints, one row's state dict at a time."""
+def _pcg64_states(entropy: np.ndarray) -> tuple:
+    """The PCG64(SeedSequence(words)) state of each row of words in the (R, L)
+    uint32 array entropy, as uint64 columns (state hi, state lo, inc hi, inc
+    lo): SeedSequence's mix_entropy into a pool of 4 words and
+    generate_state(4, uint64), on uint32 columns, then PCG64's seeding step
+    (s + inc)·mult + inc."""
     const = _HASH_A
 
     def hashmix(value):
@@ -80,8 +89,80 @@ def _pcg64_states(entropy: np.ndarray):
         const = const * _MULT_B & _MASK32
         value = value * const
         state.append((value ^ value >> 16).astype(np.uint64))
-    for s0, s1, i0, i1 in zip(*[(state[j] | state[j + 1] << 32).tolist() for j in (0, 2, 4, 6)]):
-        inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
-        seeded = ((s0 << 64 | s1) + inc) * _PCG_MULT + inc & _MASK128
-        yield {"bit_generator": "PCG64", "state": {"state": seeded, "inc": inc},
-               "has_uint32": 0, "uinteger": 0}
+    s_hi, s_lo, i_hi, i_lo = (state[j] | state[j + 1] << 32 for j in (0, 2, 4, 6))
+    inc_hi, inc_lo = i_hi << 1 | i_lo >> 63, i_lo << 1 | 1
+    lo = s_lo + inc_lo
+    return (*_step(s_hi + inc_hi + (lo < s_lo), lo, inc_hi, inc_lo), inc_hi, inc_lo)
+
+
+def _step(hi, lo, inc_hi, inc_lo) -> tuple:
+    """PCG64's step state·mult + inc mod 2^128 on (hi, lo) uint64 columns; the
+    high word of lo·mult_lo is built from 32-bit halves (array products wrap)."""
+    a0, a1 = lo & _MASK32, lo >> 32
+    b0, b1 = _MULT_LO & _MASK32, _MULT_LO >> 32
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    carry = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    product = lo * _MULT_LO
+    new_lo = product + inc_lo
+    new_hi = carry + hi * _MULT_LO + lo * _MULT_HI + inc_hi + (new_lo < product)
+    return new_hi, new_lo
+
+
+def _standard_normal(hi, lo, inc_hi, inc_lo, k: int) -> np.ndarray:
+    """(R, k) draws of NumPy's random_standard_normal, row r from the PCG64
+    state and increment in row r of the uint64 columns. Each draw of every row
+    takes one step and the XSL-RR output rotr64(hi ^ lo, hi >> 58), whose low
+    byte picks the ziggurat layer, its next bit the sign and the 52 above it
+    the magnitude; the rows that miss the layer's box finish in _finish."""
+    out = np.empty((len(hi), k))
+    for j in range(k):
+        hi, lo = _step(hi, lo, inc_hi, inc_lo)
+        value, rot = hi ^ lo, hi >> 58
+        bits = value >> rot | value << (64 - rot & 63)
+        layer = (bits & 0xFF).astype(np.intp)
+        rabs = bits >> 9 & _MASK52
+        x = rabs * _WI[layer]
+        # in place on a contiguous column: numpy 2.4 mis-writes a strided
+        # out= that is its own input when where= is given
+        np.negative(x, out=x, where=(bits & 0x100).astype(bool))
+        missed = np.flatnonzero(rabs >= _KI[layer])
+        for i, *row in zip(missed.tolist(), *(a[missed].tolist()
+                                              for a in (hi, lo, inc_hi, inc_lo, bits))):
+            x[i], state = _finish(*row)
+            hi[i], lo[i] = state >> 64, state & _MASK64
+        out[:, j] = x
+    return out
+
+
+def _finish(hi: int, lo: int, inc_hi: int, inc_lo: int, bits: int) -> tuple:
+    """(z, state after it) of a draw whose uint64 bits missed the fast path,
+    on Python ints: layer 0 samples the tail past zig.R with two uniforms, any
+    other layer accepts x if a uniform under its wedge falls below the
+    density; a rejected draw takes a new uint64."""
+    state, inc = hi << 64 | lo, inc_hi << 64 | inc_lo
+
+    def next64():
+        nonlocal state
+        state = (state * _PCG_MULT + inc) & _MASK128
+        value, rot = (state >> 64 ^ state) & _MASK64, state >> 122
+        return (value >> rot | value << (64 - rot)) & _MASK64
+
+    def next_double():
+        return (next64() >> 11) * 2.0**-53
+
+    while True:
+        layer, rabs = bits & 0xFF, bits >> 9 & _MASK52
+        x = -(rabs * zig.WI[layer]) if bits & 0x100 else rabs * zig.WI[layer]
+        if rabs < zig.KI[layer]:
+            return x, state
+        if layer == 0:
+            while True:
+                xx = -zig.INV_R * math.log1p(-next_double())
+                yy = -math.log1p(-next_double())
+                if yy + yy > xx * xx:
+                    return (-(zig.R + xx) if rabs >> 8 & 1 else zig.R + xx), state
+        wedge = (zig.FI[layer - 1] - zig.FI[layer]) * next_double() + zig.FI[layer]
+        if wedge < math.exp(-0.5 * x * x):
+            return x, state
+        bits = next64()

@@ -82,3 +82,54 @@ def test_cli_import_leaves_out_scipy_and_concurrent_futures():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out == "[]\n"
+
+
+def numpy_random_uses(source: str) -> list:
+    """Lines that import numpy.random, anywhere in the module, or reach it as
+    the attribute np.random / numpy.random."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif (isinstance(node, ast.Attribute) and node.attr == "random"
+              and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+            names = ["numpy.random"]
+        else:
+            continue
+        if any(name == "numpy.random" or name.startswith("numpy.random.") for name in names):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_scanner_flags_numpy_random():
+    source = ("import numpy as np\nfrom numpy import linalg\n"
+              "def f():\n    from numpy import random\n    return np.random.default_rng(0)\n"
+              "import numpy.random.bit_generator\n")
+    assert numpy_random_uses(source) == [4, 5, 6]
+
+
+@pytest.mark.parametrize("path", MODULES + [Path(qutrit_parity.__file__)],
+                         ids=lambda p: p.name)
+def test_numpy_random_never_imported(path):
+    """seeding draws default_rng's bytes itself: numpy.random (secrets, hmac
+    and _hashlib with it) costs a cold noisy process 10-15 ms and ~6 MB."""
+    assert numpy_random_uses(path.read_text()) == []
+
+
+def test_noisy_commands_leave_out_numpy_random(tmp_path):
+    """In a fresh interpreter, a noisy sweep and a noisy run through cli.main
+    import neither numpy.random nor secrets or hmac."""
+    probe = ("import sys\nfrom qutrit_parity.cli import main\n"
+             f"out = {str(tmp_path)!r}\n"
+             "main(['sweep', '--noise-sigma-deg', '5', '--repeat', '20', '--seed', '1',"
+             " '--output-dir', out])\n"
+             "main(['run', '--noise-sigma-deg', '5', '--seed', '1437', '--output-dir', out])\n"
+             "print([m for m in sys.modules if m in ('secrets', 'hmac')"
+             " or m == 'numpy.random' or m.startswith('numpy.random.')])\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(qutrit_parity.__file__).parent.parent))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines()[-1] == "[]"
+    assert (tmp_path / "sweep.tsv").exists() and (tmp_path / "readout.json").exists()

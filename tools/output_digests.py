@@ -33,6 +33,9 @@ COMMANDS = {
     **{f"run-{mode}-{p}": ["run", "--mode", mode, "--permutation", p]
        for mode in ("gate", "pulse") for p in PERMUTATIONS},
     **{f"run-pulse-{p}-noisy": ["run", "--permutation", p, *NOISY] for p in PERMUTATIONS},
+    # seed 1437 sends f1's last flip draw, the detection pulse's, down the
+    # ziggurat's tail past 3.65 sigma
+    "run-pulse-f1-noisy-tail": ["run", "--noise-sigma-deg", "5", "--seed", "1437"],
     "run-gate-cauchy": ["run", "--mode", "gate", "--permutation", "(1 0 -1 / 0 -1 1)"],
     "run-gate-noisy": ["run", "--mode", "gate", "--permutation", "f4", *NOISY],
     "sweep": ["sweep"],
