@@ -170,17 +170,17 @@ def build_pulse_program(p: PermutationMap) -> list:
     return events
 
 
-def _draw_flips(cfg: RunConfig, events, seeds) -> np.ndarray:
-    """(R, K) flips of the K pulses of events, one row per seed. With noise,
-    row r adds the K offsets default_rng(seeds[r]).normal(0, sigma, K) by
-    _wrap_flips; seeding.normal_draws computes their bytes without importing
-    numpy.random."""
+def _draw_flips(cfg: RunConfig, events, key, reps=None) -> np.ndarray:
+    """(R, K) flips of the K pulses of events, one row per rep (one without
+    reps). With noise, row r adds K offsets drawn as default_rng([*key, reps[r]])
+    or default_rng(key) would, .normal(0, sigma, K), by _wrap_flips."""
     nominal, sigma = spin.pulse_flips(events), cfg.pulse_angle_sigma_deg
     if sigma == 0:
-        return np.tile(nominal, (len(seeds), 1))
+        return np.tile(nominal, (1 if reps is None else len(reps), 1))
     from . import seeding  # here, so that a command without noise never compiles it
 
-    return _wrap_flips(nominal, seeding.normal_draws(seeds, sigma, len(nominal)))
+    entropy = seeding.entropy(key, reps)
+    return _wrap_flips(nominal, seeding.normal_draws(entropy, sigma, len(nominal)))
 
 
 def _wrap_flips(nominal: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -193,12 +193,12 @@ def _wrap_flips(nominal: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return flips
 
 
-def run_pulse_experiment(cfg: RunConfig, p: PermutationMap, seeds):
-    """Prep, F, oracle, F inverse and detection for one repetition per noise seed,
+def run_pulse_experiment(cfg: RunConfig, p: PermutationMap, key, reps=None):
+    """Prep, F, oracle, F inverse and detection for each rep (once without reps),
     as one batch: the program as row 0 ran it, and the (R, 3, 3) detected rows."""
     program = build_pulse_program(p)
     events = program + spectro.detection_events(cfg.detection_flip_deg)
-    flips = _draw_flips(cfg, events, seeds)
+    flips = _draw_flips(cfg, events, key, reps)
     return spin.with_flips(program, flips[0]), spin.run_pulse_batch(
         spin.thermal_deviation(), events, flips)
 
@@ -222,7 +222,7 @@ def cmd_run(cfg: RunConfig) -> int:
         print(f"{name_of(perm)}: verdict {trace.verdict.value} "
               f"(global phase {trace.global_phase:+.6f} rad)")
     else:
-        program, rhos = run_pulse_experiment(cfg, perm, [cfg.seed])
+        program, rhos = run_pulse_experiment(cfg, perm, cfg.seed)
         acquisition = cfg.hamiltonian(), cfg.relaxation(), cfg.n, cfg.dwell_s
         line12, line23, confidence, code = (c.item() for c in spectro.read_out(rhos, *acquisition))
         if code not in (spectro.EVEN, spectro.ODD):
@@ -264,7 +264,7 @@ def cmd_sweep(cfg: RunConfig, repetitions: int = 1) -> int:
             want = spectro.EVEN if parity_by_counting(perm) is Parity.EVEN else spectro.ODD
             for start in range(0, repetitions, SWEEP_BLOCK):
                 reps = range(start, min(start + SWEEP_BLOCK, repetitions))
-                _, rhos = run_pulse_experiment(cfg, perm, [[cfg.seed, index, rep] for rep in reps])
+                _, rhos = run_pulse_experiment(cfg, perm, [cfg.seed, index], reps)
                 line12, line23, _, codes = (c.tolist() for c in spectro.read_out(rhos, *acquisition))
                 correct += codes.count(want)
                 yield "".join(f"{name}\t{rep}\t{VERDICTS[code]}\t{a!r}\t{b!r}\t{code == want}\n"

@@ -3,12 +3,14 @@
 A sweep draws each repetition's pulse-angle noise from its own
 numpy.random.default_rng([seed, index, rep]). Building one generator per
 repetition costs more than the draws, and importing numpy.random costs a cold
-process more than both, so normal_draws computes the same bytes itself:
-SeedSequence's hash (its entropy pool, mix_entropy and generate_state) on uint32
-columns for every seed at once, then PCG64 (XSL-RR output) and NumPy's ziggurat
-normal (random_standard_normal) on (hi, lo) uint64 limb columns, one draw of
-every row at a time. The ~1.5% of draws that miss the ziggurat's fast path finish
-in Python ints and libm (math.log1p, math.exp), as NumPy's C code does.
+process more than both, so normal_draws computes the same bytes itself from one
+(R, L) uint32 array of entropy words: SeedSequence's hash (its entropy pool,
+mix_entropy and generate_state) on its uint32 columns, then PCG64 (XSL-RR output)
+and NumPy's ziggurat normal (random_standard_normal) on (hi, lo) uint64 limb
+columns, one draw of every row at a time. The ~1.5% of draws that miss the
+ziggurat's fast path finish in Python ints and libm (math.log1p, math.exp), as
+NumPy's C code does. entropy builds the array: run's seed, or a sweep block's
+[seed, index] on every row and its reps as one more column, one word each.
 """
 
 from __future__ import annotations
@@ -28,30 +30,27 @@ _MULT_HI, _MULT_LO = _PCG_MULT >> 64, _PCG_MULT & _MASK64
 _KI, _WI = np.array(zig.KI, np.uint64), np.array(zig.WI)
 
 
-def normal_draws(seeds, sigma: float, k: int) -> np.ndarray:
-    """(R, k) draws whose row r is default_rng(seeds[r]).normal(0, sigma, k),
-    for seeds that are ints >= 0 or lists of them. The rows with as many
-    entropy words share one pass of _pcg64_states and _standard_normal."""
-    words = [_entropy_words(seed) for seed in seeds]
-    out = np.empty((len(seeds), k))
-    for length in set(map(len, words)):
-        rows = [r for r, w in enumerate(words) if len(w) == length]
-        entropy = np.array([words[r] for r in rows], np.uint32)
-        out[rows] = _standard_normal(*_pcg64_states(entropy), k)
+def entropy(key, reps=None) -> np.ndarray:
+    """(R, L) uint32 SeedSequence entropy: the 32-bit words of each int of key
+    (an int >= 0 or a list of them), least significant first and one word for
+    0, on every row; then, with reps, each row's rep as one last word. A rep
+    below 2**32 is one word, as a sweep's rep < MAX_REPEAT is (and its index < 6
+    one word of key = [seed, index]), so row r holds the words of [*key, reps[r]]."""
+    words = np.array([value >> shift & _MASK32 for value in ([key] if isinstance(key, int) else key)
+                      for shift in range(0, max(value.bit_length(), 1), 32)], np.uint32)
+    if reps is None:
+        return words[None]
+    return np.column_stack((np.broadcast_to(words, (len(reps), len(words))),
+                            np.asarray(reps, np.uint32)))
+
+
+def normal_draws(entropy: np.ndarray, sigma: float, k: int) -> np.ndarray:
+    """(R, k) draws whose row r is default_rng(SeedSequence(entropy[r])).normal(0,
+    sigma, k), in one pass of _pcg64_states and _standard_normal."""
+    out = _standard_normal(*_pcg64_states(entropy), k)
     out *= sigma
     out += 0.0  # Generator.normal's loc + scale * z, which turns -0.0 into 0.0
     return out
-
-
-def _entropy_words(seed) -> list:
-    """SeedSequence's uint32 entropy words of an int >= 0 or a list of them:
-    each int's 32-bit words, least significant first (one word for 0)."""
-    words = []
-    for value in [seed] if isinstance(seed, int) else seed:
-        words.append(value & _MASK32)
-        while (value := value >> 32) > 0:
-            words.append(value & _MASK32)
-    return words
 
 
 def _pcg64_states(entropy: np.ndarray) -> tuple:

@@ -93,10 +93,24 @@ class TestRunPulseMode:
 def test_run_exit_2_names_why_and_writes_nothing(tmp_path, capsys, monkeypatch, argv, message):
     if not argv:
         monkeypatch.setattr(cli, "run_pulse_experiment",
-                            lambda cfg, perm, seeds: ([], np.zeros((1, 3, 3), complex)))
+                            lambda cfg, perm, key: ([], np.zeros((1, 3, 3), complex)))
     assert main(["run", *argv, "--output-dir", str(tmp_path)]) == 2
     assert capsys.readouterr().err == f"unclassifiable: {message}\n"
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("name", ["f1", "f2", "f3"])
+def test_even_runs_turn_unclassifiable_between_34_6_and_34_7_degrees(tmp_path, capsys, name):
+    """A noise-free even run's minor line is tan^2(flip / 2) of its major one in
+    coherence, and the readout's line ratio runs ~3.5% above that: it passes
+    PEAK_THRESHOLD = 0.1 between a 34.6 and a 34.7 degree detection flip, short
+    of the coherences' crossing at 2 atan(sqrt(0.1)) = 35.10 degrees."""
+    argv = ["run", "--permutation", name, "--detection-flip-deg"]
+    assert main([*argv, "34.6", "--output-dir", str(tmp_path / "34.6")]) == 0
+    assert capsys.readouterr().out.startswith(f"{name}: verdict even ")
+    assert main([*argv, "34.7", "--output-dir", str(tmp_path / "34.7")]) == 2
+    assert capsys.readouterr().err == ("unclassifiable: spectrum matches neither parity "
+                                       "signature (line12 = 10.9885, line23 = 109.771)\n")
 
 
 class TestErrors:
@@ -537,9 +551,9 @@ def test_drawn_flips_equal_the_default_rng_rule():
     cfg = RunConfig(pulse_angle_sigma_deg=5.0, seed=3)
     events = cli.build_pulse_program(cli.resolve("f2")) + spectro.detection_events(30.0)
     nominal = spin.pulse_flips(events)
-    seeds = [[3, 1, rep] for rep in range(50)]
-    offsets = np.array([np.random.default_rng(s).normal(0.0, 5.0, len(nominal)) for s in seeds])
-    assert (cli._draw_flips(cfg, events, seeds).tobytes()
+    offsets = np.array([np.random.default_rng([3, 1, rep]).normal(0.0, 5.0, len(nominal))
+                        for rep in range(50)])
+    assert (cli._draw_flips(cfg, events, [3, 1], range(50)).tobytes()
             == cli._wrap_flips(nominal, offsets).tobytes())
 
 
@@ -566,9 +580,9 @@ def test_sweep_blocks_change_no_byte(tmp_path, monkeypatch, capsys, repeat, bloc
     whole = capsys.readouterr().out
     batches, experiment = [], cli.run_pulse_experiment
 
-    def counted(cfg, perm, seeds):
-        batches.append(len(seeds))
-        return experiment(cfg, perm, seeds)
+    def counted(cfg, perm, key, reps):
+        batches.append(len(reps))
+        return experiment(cfg, perm, key, reps)
 
     monkeypatch.setattr(cli, "SWEEP_BLOCK", 7)
     monkeypatch.setattr(cli, "run_pulse_experiment", counted)

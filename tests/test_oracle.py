@@ -48,7 +48,7 @@ def _rows(sigma, repeat):
     `sweep --noise-sigma-deg sigma --repeat repeat --seed 1`; at sigma = 0
     each row is the noise-free `run` of its permutation."""
     cfg = cli.RunConfig(pulse_angle_sigma_deg=sigma, seed=1)
-    rows = [cli.run_pulse_experiment(cfg, perm, [[1, k, rep] for rep in range(repeat)])[1]
+    rows = [cli.run_pulse_experiment(cfg, perm, [1, k], range(repeat))[1]
             for k, perm in enumerate(NAMED_MAPS.values())]
     return cfg, np.concatenate(rows)
 

@@ -71,3 +71,17 @@ def test_table_has_a_row_per_sigma(grid):
     lines = tool.table(rows).splitlines()
     assert len(lines) == 2 + len(SIGMAS)
     assert lines[2] == "| 0° | " + " | ".join([f"{REPEAT}/0/0"] * 6) + f" | {6 * REPEAT} | 0 |"
+
+
+def test_detection_flip_table_has_a_row_per_angle(capsys):
+    """--detection-flip-deg prints correct runs of all six permutations per
+    angle and sigma: noise-free, every run is right at the default 30 degrees,
+    and past 35.10 degrees each even run is unclassifiable, so half are."""
+    tool = _tool()
+    assert tool.main(["--sigmas", "0", "5", "--repeat", "5", "--seed", "1",
+                      "--detection-flip-deg", "30", "45"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["| θ \\ σ | 0° | 5° |", "| --- | --- | --- |"]
+    assert lines[2].startswith("| 30° (default) | 30 | ")
+    assert lines[3].startswith("| 45° | 15 | ")
+    assert len(lines) == 4

@@ -1,4 +1,7 @@
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,40 +9,63 @@ import pytest
 from qutrit_parity import seeding
 
 
+def _draws(seeds, sigma, k):
+    """normal_draws of each seed (an int or a list of them) in a call of its own,
+    stacked: what default_rng(seed).normal gives seed by seed."""
+    return np.concatenate([seeding.normal_draws(seeding.entropy(s), sigma, k) for s in seeds])
+
+
 @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64, 10**30])
 def test_one_pass_draws_equal_default_rng(seed):
-    """normal_draws seeds every row in one pass, yet each row is the bytes of
-    default_rng(its seed).normal: sweep seeds [seed, index, rep] at every
-    index, with reps 0, 1 and 99 999 (seeds of 4 words or more take
-    SeedSequence's loop past its pool), run's bare int seeds, and K = 1."""
-    seeds = ([[seed, index, rep] for index in range(6) for rep in (0, 1, 99_999)]
-             + [seed, seed + 1])
+    """normal_draws seeds every row of a sweep block in one pass, yet each row
+    is the bytes of default_rng(its seed).normal: sweep seeds [seed, index,
+    rep] at every index, with reps 0, 1 and 99 999 (seeds of 4 words or more
+    take SeedSequence's loop past its pool), run's bare int seeds, and K = 1."""
+    reps = (0, 1, 99_999)
     for k, sigma in ((57, 5.0), (1, 20.0)):
-        expected = [np.random.default_rng(s).normal(0.0, sigma, k) for s in seeds]
-        assert seeding.normal_draws(seeds, sigma, k).tobytes() == np.array(expected).tobytes()
+        expected = [np.random.default_rng([seed, index, rep]).normal(0.0, sigma, k)
+                    for index in range(6) for rep in reps]
+        drawn = [seeding.normal_draws(seeding.entropy([seed, index], reps), sigma, k)
+                 for index in range(6)]
+        assert np.concatenate(drawn).tobytes() == np.array(expected).tobytes()
+        expected = [np.random.default_rng(s).normal(0.0, sigma, k) for s in (seed, seed + 1)]
+        assert _draws([seed, seed + 1], sigma, k).tobytes() == np.array(expected).tobytes()
 
 
-def test_rows_keep_their_order_across_entropy_lengths():
-    """Seeds of different word counts take separate passes; each row stays in its place."""
+def test_entropy_rows_are_the_words_of_key_and_rep():
+    """A block's row r is the SeedSequence entropy of [*key, reps[r]]: each
+    int's 32-bit words, least significant first, one word for 0."""
+    assert seeding.entropy(0).tolist() == [[0]]
+    assert seeding.entropy(2**64).tolist() == [[0, 0, 1]]
+    assert seeding.entropy([2**32 + 5, 0], range(2, 4)).tolist() == [[5, 1, 0, 2], [5, 1, 0, 3]]
+    assert seeding.entropy([1, 5], [99_999]).dtype == np.uint32
+
+
+def test_each_entropy_length_equals_default_rng():
+    """Seeds of 1 to 4 entropy words, ints and lists, each in a call of its own."""
     seeds = [2**64, [1, 2, 3], 0, [2**70, 5], 7, [0]]
     expected = [np.random.default_rng(s).normal(0.0, 3.0, 4) for s in seeds]
-    assert seeding.normal_draws(seeds, 3.0, 4).tobytes() == np.array(expected).tobytes()
+    assert _draws(seeds, 3.0, 4).tobytes() == np.array(expected).tobytes()
 
 
 def test_draws_hold_no_state_dict_per_row():
-    """The PCG64 states are four uint64 columns and the draws one float64 column
-    at a time, so the traced peak of one permutation's draws in a
-    5000-repetition sweep, K = 10, stays below 700 B per row (~510, most of it
-    the entropy words as Python lists; a list of every row's state dict took ~970)."""
-    seeds = [[1, 0, rep] for rep in range(5000)]
-    seeding.normal_draws(seeds[:2], 5.0, 10)  # first-call allocations aside
+    """The entropy is one (R, 3) uint32 array, the PCG64 states four uint64
+    columns and the draws one float64 column at a time, so the traced peak of
+    building one permutation's entropy and drawing from it in a
+    5000-repetition sweep, K = 10, stays below 400 B per row (~290; built
+    from one Python list per row, split into words, it was ~640, and a list
+    of every row's state dict took ~970)."""
+    def draw(reps):
+        return seeding.normal_draws(seeding.entropy([1, 0], reps), 5.0, 10)
+
+    draw(range(2))  # first-call allocations aside
     tracemalloc.start()
     try:
-        seeding.normal_draws(seeds, 5.0, 10)
+        draw(range(5000))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / len(seeds) < 700
+    assert peak / 5000 < 400
 
 
 def _paths(monkeypatch, seeds, k):
@@ -61,7 +87,7 @@ def _paths(monkeypatch, seeds, k):
     found = []
     for seed in seeds:
         taken.clear()
-        seeding.normal_draws([seed], 5.0, k)
+        seeding.normal_draws(seeding.entropy(seed), 5.0, k)
         found.append(set(taken))
     return found
 
@@ -84,7 +110,7 @@ def test_rare_paths_equal_default_rng(path, monkeypatch):
     seeds = RARE_PATHS[path]
     assert all(path in taken for taken in _paths(monkeypatch, seeds, 8))
     expected = [np.random.default_rng(s).normal(0.0, 5.0, 8) for s in seeds]
-    assert seeding.normal_draws(seeds, 5.0, 8).tobytes() == np.array(expected).tobytes()
+    assert _draws(seeds, 5.0, 8).tobytes() == np.array(expected).tobytes()
 
 
 def test_a_million_draws_equal_default_rng():
@@ -94,4 +120,17 @@ def test_a_million_draws_equal_default_rng():
     expected = np.empty((len(seeds), 57))
     for row, seed in zip(expected, seeds):
         row[:] = np.random.default_rng(seed).normal(0.0, 5.0, 57)
-    assert seeding.normal_draws(seeds, 5.0, 57).tobytes() == expected.tobytes()
+    drawn = [seeding.normal_draws(seeding.entropy([2, index], range(4000)), 5.0, 57)
+             for index in range(5)]
+    assert np.concatenate(drawn).tobytes() == expected.tobytes()
+
+
+@pytest.mark.skipif(not (Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a").exists(),
+                    reason="this NumPy installs no libnpyrandom.a to read its tables from")
+def test_ziggurat_tables_match_the_installed_numpy():
+    """tools/ziggurat_tables.py --check: _ziggurat.py holds the installed
+    NumPy's own ki_double, wi_double and fi_double, bit for bit."""
+    tool = Path(__file__).parent.parent / "tools" / "ziggurat_tables.py"
+    proc = subprocess.run([sys.executable, str(tool), "--check"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -75,12 +75,17 @@ class TestDetect:
             engine = run_pulse_program(rho, detection_events(flip))
             assert np.array_equal(detect(rho, flip).entries, engine.entries)
 
-    def test_even_branch_dominant_23_coherence(self):
-        out = detect(EVEN_DEVIATION, 30.0)
-        # 1-2 coherence only appears at second order: ratio tan^2(15 deg)
+    @pytest.mark.parametrize("flip", [5.0, 10.0, 20.0, 30.0, 45.0])
+    def test_even_branch_dominant_23_coherence(self, flip):
+        """The 1-2 coherence only appears at second order in the detection
+        flip: |c12| / |c23| = tan^2(flip / 2) within 8 eps (measured: at most
+        0.25 eps), which stays below PEAK_THRESHOLD up to 2 atan(sqrt(0.1)) =
+        35.10 degrees: a noise-free even run's margin is set by the flip."""
+        out = detect(EVEN_DEVIATION, flip)
         ratio = abs(out.entries[1, 0]) / abs(out.entries[2, 1])
-        assert ratio == pytest.approx(np.tan(np.pi / 12) ** 2, abs=1e-12)
-        assert abs(out.entries[2, 1]) > 10 * abs(out.entries[1, 0])
+        eps = np.finfo(float).eps
+        assert ratio == pytest.approx(np.tan(np.radians(flip) / 2) ** 2, rel=0, abs=8 * eps)
+        assert (ratio < PEAK_THRESHOLD) == (flip < 2 * np.degrees(np.arctan(np.sqrt(0.1))))
 
     def test_odd_branch_equal_and_opposite(self):
         out = detect(ODD_DEVIATION, 30.0)
@@ -420,7 +425,7 @@ class TestInPlaceAcquisition:
 def _detected(repeat, sigma, **fields):
     """The config and the (6 * repeat, 3, 3) detected rows of a seeded noisy sweep."""
     cfg = cli.RunConfig(pulse_angle_sigma_deg=sigma, seed=1, **fields)
-    rows = [cli.run_pulse_experiment(cfg, perm, [[1, k, rep] for rep in range(repeat)])[1]
+    rows = [cli.run_pulse_experiment(cfg, perm, [1, k], range(repeat))[1]
             for k, perm in enumerate(NAMED_MAPS.values())]
     return cfg, np.concatenate(rows)
 
@@ -489,7 +494,7 @@ class TestReadLines:
         cfg, rhos = _detected(20, 120.0, detection_flip_deg=330.0)
         detection = np.concatenate([
             cli._draw_flips(cfg, cli.build_pulse_program(perm) + detection_events(330.0),
-                            [[1, k, rep] for rep in range(20)])[:, -1]
+                            [1, k], range(20))[:, -1]
             for k, perm in enumerate(NAMED_MAPS.values())])
         outcomes = [_outcome(r) for r in assert_batch_matches_rows(cfg, rhos)]
         silent = [k for k, o in enumerate(outcomes)

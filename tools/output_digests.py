@@ -36,6 +36,9 @@ COMMANDS = {
     # seed 1437 sends f1's last flip draw, the detection pulse's, down the
     # ziggurat's tail past 3.65 sigma
     "run-pulse-f1-noisy-tail": ["run", "--noise-sigma-deg", "5", "--seed", "1437"],
+    # 10**30 fills exactly the four words of SeedSequence's pool, as run's bare seed
+    "run-pulse-f2-noisy-seed-10-30": ["run", "--permutation", "f2", "--noise-sigma-deg", "5",
+                                      "--seed", "1000000000000000000000000000000"],
     "run-gate-cauchy": ["run", "--mode", "gate", "--permutation", "(1 0 -1 / 0 -1 1)"],
     "run-gate-noisy": ["run", "--mode", "gate", "--permutation", "f4", *NOISY],
     "sweep": ["sweep"],
