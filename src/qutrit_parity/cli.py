@@ -136,11 +136,9 @@ def load_config(path: str, cfg: RunConfig | None = None) -> RunConfig:
     return cfg
 
 
-def _atomic_write(path: str, text):
-    """Write path, a str or an iterable of str, through a temporary file, with
-    the mode open() would give; if text raises, path keeps what it held."""
-    if isinstance(text, str):
-        text = (text,)  # writelines would write a str one character at a time
+def _atomic_write(path: str, parts):
+    """Write path, the iterable of str parts, through a temporary file, with
+    the mode open() would give; if parts raises, path keeps what it held."""
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
@@ -148,7 +146,7 @@ def _atomic_write(path: str, text):
     os.umask(umask)
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.writelines(text)
+            handle.writelines(parts)
         os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
@@ -158,8 +156,7 @@ def _atomic_write(path: str, text):
 
 
 def _write_json(path: str, obj):
-    _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True,
-                                   allow_nan=False) + "\n")
+    _atomic_write(path, [json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"])
 
 
 def build_pulse_program(p: PermutationMap) -> list:
@@ -235,9 +232,9 @@ def cmd_run(cfg: RunConfig) -> int:
         record["readout"] = readout
         record["verdict"] = VERDICTS[code]
         _write_json(os.path.join(out, "pulse_program.json"), record["pulse_program"])
-        _atomic_write(os.path.join(out, "fid.txt"), spectro.fid_to_text(fid))
+        _atomic_write(os.path.join(out, "fid.txt"), spectro.fid_rows(fid))
         _atomic_write(os.path.join(out, "spectrum.txt"),
-                      spectro.spectrum_to_text(spectro.spectrum(detected, *acquisition)))
+                      spectro.spectrum_rows(spectro.spectrum(detected, *acquisition)))
         _write_json(os.path.join(out, "readout.json"), readout)
         _write_json(os.path.join(out, "run_record.json"), record)
         print(f"{name_of(perm)}: verdict {VERDICTS[code]} "

@@ -49,7 +49,7 @@ SPAN_HALF_WIDTHS = 4.0
 #: that match neither signature, a spectrum without signal, or without a peak)
 EVEN, ODD, NEITHER, NO_SIGNAL, NO_PEAKS = range(5)
 
-#: the text exports format and join this many rows at a time
+#: the text exports format and yield this many rows at a time
 EXPORT_BLOCK = 4096
 
 
@@ -406,31 +406,22 @@ def why(line12: float, line23: float, code: int) -> str:
 
 # --- columnar text export ---------------------------------------------------
 
-def spectrum_to_text(s: Spectrum) -> str:
-    """One row per bin: frequency_hz, real, imag, magnitude."""
-
-    def rows(a: int, b: int) -> str:
+def spectrum_rows(s: Spectrum):
+    """The header, then one str per EXPORT_BLOCK bins, one row per bin:
+    frequency_hz, real, imag, magnitude."""
+    yield "# frequency_hz real imag magnitude\n"
+    for a in range(0, len(s.frequencies), EXPORT_BLOCK):
+        b = a + EXPORT_BLOCK
         # Python floats and complexes: a numpy scalar's repr is "np.float64(...)",
         # and np.abs may differ from abs() in the last digit
-        return "".join([f"{f!r} {z.real!r} {z.imag!r} {abs(z)!r}\n" for f, z in
-                        zip(s.frequencies[a:b].tolist(), s.amplitudes[a:b].tolist())])
-
-    return _join("# frequency_hz real imag magnitude\n", len(s.frequencies), rows)
+        yield "".join([f"{f!r} {z.real!r} {z.imag!r} {abs(z)!r}\n" for f, z in
+                       zip(s.frequencies[a:b].tolist(), s.amplitudes[a:b].tolist())])
 
 
-def fid_to_text(fid: FID) -> str:
-    """One row per sample: time_s, real, imag."""
-
-    def rows(a: int, b: int) -> str:
-        return "".join([f"{k * fid.dwell!r} {z.real!r} {z.imag!r}\n"
-                        for k, z in enumerate(fid.samples[a:b].tolist(), a)])
-
-    return _join("# time_s real imag\n", len(fid.samples), rows)
-
-
-def _join(header: str, n: int, rows) -> str:
-    """header and then rows(a, b), the text of rows a to b - 1, formatted for
-    one block of EXPORT_BLOCK rows at a time: only one block's Python values
-    and line strings are held at once."""
-    blocks = (rows(a, a + EXPORT_BLOCK) for a in range(0, n, EXPORT_BLOCK))
-    return "".join([header, *blocks])
+def fid_rows(fid: FID):
+    """The header, then one str per EXPORT_BLOCK samples, one row per sample:
+    time_s, real, imag."""
+    yield "# time_s real imag\n"
+    for a in range(0, len(fid.samples), EXPORT_BLOCK):
+        yield "".join([f"{k * fid.dwell!r} {z.real!r} {z.imag!r}\n" for k, z in
+                       enumerate(fid.samples[a:a + EXPORT_BLOCK].tolist(), a)])

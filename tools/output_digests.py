@@ -55,8 +55,10 @@ COMMANDS = {
     "sweep-short-t2": ["sweep", "--noise-sigma-deg", "5", "--repeat", "50", "--t2-s", "0.0005",
                        "--t1-s", "0.01", "--seed", "3"],
     "run-pulse-hires": ["run", "--permutation", "f2", "--n", "65536"],
-    # exports of more than one block of rows, and a sweep at the largest n
+    # exports of more than one block of rows, the largest export (256 blocks),
+    # and a sweep at the largest n
     "run-pulse-n-131072": ["run", "--n", "131072"],
+    "run-pulse-n-2-20": ["run", "--n", "1048576"],
     "sweep-noisy-n-2-20": ["sweep", "--noise-sigma-deg", "5", "--repeat", "2", "--seed", "3",
                            "--n", "1048576"],
     "run-lambda-700": ["run", "--lambda-q-hz", "700"],
