@@ -3,7 +3,7 @@ permutations, and compile gates to pulse sequences.
 
 Exit codes: 0 = classified, 1 = usage/config error, 2 = unclassifiable
 physics outcome. All outputs are deterministic given the config (seed
-included), and files are written atomically.
+included), and a command's files replace the old ones together.
 """
 
 from __future__ import annotations
@@ -101,9 +101,6 @@ class RunConfig:
     def relaxation(self) -> spin.RelaxationParams:
         return spin.RelaxationParams(self.t1_s, self.t2_s)
 
-    def snapshot(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 class ConfigError(ValueError):
     pass
@@ -136,27 +133,21 @@ def load_config(path: str, cfg: RunConfig | None = None) -> RunConfig:
     return cfg
 
 
-def _atomic_write(path: str, parts):
-    """Write path, the iterable of str parts, through a temporary file, with
-    the mode open() would give; if parts raises, path keeps what it held."""
-    directory = os.path.dirname(path) or "."
+def _write_files(directory: str, files: dict):
+    """Write each file of files, a name -> iterable of str parts, into one
+    staging directory, then move them all into directory; if any part raises,
+    every old file keeps what it held."""
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
-    umask = os.umask(0)  # read, then restored: mkstemp's files are 0600
-    os.umask(umask)
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.writelines(parts)
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with tempfile.TemporaryDirectory(dir=directory, prefix=".tmp-") as staging:
+        for name, parts in files.items():
+            with open(os.path.join(staging, name), "w") as handle:
+                handle.writelines(parts)
+        for name in files:
+            os.replace(os.path.join(staging, name), os.path.join(directory, name))
 
 
-def _write_json(path: str, obj):
-    _atomic_write(path, [json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"])
+def _json(obj) -> list:
+    return [json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"]
 
 
 def build_pulse_program(p: PermutationMap) -> list:
@@ -203,8 +194,7 @@ def run_pulse_experiment(cfg: RunConfig, p: PermutationMap, key, reps=None):
 def cmd_run(cfg: RunConfig) -> int:
     started = time.monotonic()
     perm = resolve(cfg.permutation)
-    out = cfg.output_dir
-    record = {"config": cfg.snapshot(), "permutation": name_of(perm),
+    record = {"config": dataclasses.asdict(cfg), "permutation": name_of(perm),
               "cauchy": perm.cauchy()}
 
     if cfg.mode == "gate":
@@ -214,10 +204,8 @@ def cmd_run(cfg: RunConfig) -> int:
         trace = run_parity_algorithm(perm)
         record["trace"] = trace.to_record()
         record["verdict"] = trace.verdict.value
-        _write_json(os.path.join(out, "trace.json"), record["trace"])
-        _write_json(os.path.join(out, "run_record.json"), record)
-        print(f"{name_of(perm)}: verdict {trace.verdict.value} "
-              f"(global phase {trace.global_phase:+.6f} rad)")
+        files = {"trace.json": _json(record["trace"])}
+        summary = f"global phase {trace.global_phase:+.6f} rad"
     else:
         program, rhos = run_pulse_experiment(cfg, perm, cfg.seed)
         acquisition = cfg.hamiltonian(), cfg.relaxation(), cfg.n, cfg.dwell_s
@@ -226,20 +214,19 @@ def cmd_run(cfg: RunConfig) -> int:
             print(f"unclassifiable: {spectro.why(line12, line23, code)}", file=sys.stderr)
             return 2
         detected = DensityMatrix(rhos[0], "deviation")
-        fid = spectro.synthesize_fid(detected, *acquisition)
         readout = dict(verdict=VERDICTS[code], line12=line12, line23=line23, confidence=confidence)
         record["pulse_program"] = spin.program_to_records(program)
         record["readout"] = readout
         record["verdict"] = VERDICTS[code]
-        _write_json(os.path.join(out, "pulse_program.json"), record["pulse_program"])
-        _atomic_write(os.path.join(out, "fid.txt"), spectro.fid_rows(fid))
-        _atomic_write(os.path.join(out, "spectrum.txt"),
-                      spectro.spectrum_rows(spectro.spectrum(detected, *acquisition)))
-        _write_json(os.path.join(out, "readout.json"), readout)
-        _write_json(os.path.join(out, "run_record.json"), record)
-        print(f"{name_of(perm)}: verdict {VERDICTS[code]} "
-              f"(line12 {line12:+.6g}, line23 {line23:+.6g})")
+        files = {"pulse_program.json": _json(record["pulse_program"]),
+                 "fid.txt": spectro.fid_rows(spectro.synthesize_fid(detected, *acquisition)),
+                 "spectrum.txt": spectro.spectrum_rows(spectro.spectrum(detected, *acquisition)),
+                 "readout.json": _json(readout)}
+        summary = f"line12 {line12:+.6g}, line23 {line23:+.6g}"
 
+    files["run_record.json"] = _json(record)
+    _write_files(cfg.output_dir, files)
+    print(f"{name_of(perm)}: verdict {record['verdict']} ({summary})")
     print(f"wall time {time.monotonic() - started:.3f} s", file=sys.stderr)
     return 0
 
@@ -268,7 +255,7 @@ def cmd_sweep(cfg: RunConfig, repetitions: int = 1) -> int:
                               for rep, a, b, code in zip(reps, line12, line23, codes))
         yield f"# accuracy = {correct}/{total} = {correct / total!r}\n"
 
-    _atomic_write(os.path.join(cfg.output_dir, "sweep.tsv"), rows())
+    _write_files(cfg.output_dir, {"sweep.tsv": rows()})
     print(f"accuracy {correct}/{total} = {correct / total:.3f}")
     return 0 if correct == total else 2
 
@@ -277,7 +264,7 @@ def cmd_compile(gate: str, output_dir: str) -> int:
     seq = compiler.compile_gate(gate)
     record = seq.to_record()
     record["worst_entry"] = seq.worst_entry
-    _write_json(os.path.join(output_dir, f"{gate}_sequence.json"), record)
+    _write_files(output_dir, {f"{gate}_sequence.json": _json(record)})
     print(f"{gate}: fidelity {seq.fidelity:.12f}, phase_exact {seq.phase_exact}")
     return 0
 

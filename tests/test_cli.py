@@ -286,16 +286,23 @@ class TestInputContract:
 
     @pytest.mark.parametrize("umask", [0o022, 0o027], ids=oct)
     def test_output_files_get_the_umask_mode(self, tmp_path, umask):
-        """Each file has the mode open() would give it: 0o666 less the umask."""
+        """Each file of each command has the mode open() would give it: 0o666
+        less the umask."""
+        commands = {"gate": ["run", "--mode", "gate"], "pulse": ["run"],
+                    "sweep": ["sweep"], "compile": ["compile", "I"]}
         old = os.umask(umask)
         try:
-            assert main(["run", "--mode", "gate", "--output-dir", str(tmp_path)]) == 0
-            assert main(["compile", "I", "--output-dir", str(tmp_path)]) == 0
+            for label, argv in commands.items():
+                assert main([*argv, "--output-dir", str(tmp_path / label)]) == 0
         finally:
             os.umask(old)
-        modes = {p.name: p.stat().st_mode & 0o777 for p in tmp_path.iterdir()}
-        assert modes == dict.fromkeys(["trace.json", "run_record.json", "I_sequence.json"],
-                                      0o666 & ~umask)
+        modes = {p.relative_to(tmp_path).as_posix(): p.stat().st_mode & 0o777
+                 for p in tmp_path.rglob("*") if p.is_file()}
+        assert modes == dict.fromkeys(
+            ["gate/trace.json", "gate/run_record.json", "pulse/pulse_program.json",
+             "pulse/fid.txt", "pulse/spectrum.txt", "pulse/readout.json",
+             "pulse/run_record.json", "sweep/sweep.tsv", "compile/I_sequence.json"],
+            0o666 & ~umask)
 
     def test_unwritable_output_dir_exit_1_without_traceback(self, tmp_path):
         blocker = tmp_path / "file"
@@ -614,8 +621,8 @@ def test_sweep_memory_is_flat_in_repeat(tmp_path, monkeypatch, capsys):
 
 
 def test_sweep_failing_mid_stream_keeps_the_old_file(tmp_path, monkeypatch):
-    """A readout that raises on the second block propagates; the temporary
-    file that the first block went to is removed, and sweep.tsv keeps its bytes."""
+    """A readout that raises on the second block propagates; the staging
+    directory that the first block went to is removed, and sweep.tsv keeps its bytes."""
     (tmp_path / "sweep.tsv").write_bytes(b"old sweep\n")
     calls, read_out = [], spectro.read_out
 
@@ -655,9 +662,12 @@ def test_run_streams_its_exports(tmp_path, capsys):
 
 def test_export_failing_mid_stream_keeps_the_old_file(tmp_path, monkeypatch):
     """Spectrum rows that raise after their first block propagate; the
-    temporary file that the block went to is removed, spectrum.txt keeps its
-    bytes, and nothing after it is written."""
-    (tmp_path / "spectrum.txt").write_bytes(b"old spectrum\n")
+    staging directory that the run's files went to is removed, and each of
+    the five old files keeps its bytes, including those staged before it."""
+    old = {name: f"old {name}\n".encode() for name in (
+        "pulse_program.json", "fid.txt", "spectrum.txt", "readout.json", "run_record.json")}
+    for name, data in old.items():
+        (tmp_path / name).write_bytes(data)
     spectrum_rows = spectro.spectrum_rows
 
     def failing(s):
@@ -671,9 +681,7 @@ def test_export_failing_mid_stream_keeps_the_old_file(tmp_path, monkeypatch):
     monkeypatch.setattr(spectro, "spectrum_rows", failing)
     with pytest.raises(RuntimeError, match="^export failed$"):
         main(["run", "--output-dir", str(tmp_path)])
-    assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "fid.txt", "pulse_program.json", "spectrum.txt"]
-    assert read(tmp_path / "spectrum.txt") == b"old spectrum\n"
+    assert {p.name: read(p) for p in tmp_path.iterdir()} == old
 
 
 def test_unclassifiable_sweep_rows_carry_measured_lines(tmp_path):

@@ -4,8 +4,10 @@ Each command runs as `python -m qutrit_parity.cli ... --output-dir .` in a
 child process with PYTHONPATH=DIR (default: this repository's src) and a fresh
 temporary working directory. For each command it digests the exit code,
 stdout, stderr without the `wall time` line, and every file written, and it
-prints one `<sha256>  <command>/<file>` line per digest, sorted by name. Two
-source trees produce the same outputs when their listings are identical:
+prints one `<sha256>  <command>/<file>` line per digest, sorted by name. It
+exits 1, naming the command, if a command leaves a `.tmp-*` file or directory
+behind. Two source trees produce the same outputs when their listings are
+identical:
 
     python tools/output_digests.py --src A/src > a.txt
     python tools/output_digests.py --src B/src > b.txt
@@ -84,6 +86,9 @@ def digests(label: str, args: list, src: Path) -> list:
         proc = subprocess.run([sys.executable, "-m", "qutrit_parity.cli", *args,
                                "--output-dir", "."],
                               cwd=cwd, env=env, capture_output=True, timeout=600)
+        leftovers = sorted(p.name for p in Path(cwd).rglob(".tmp-*"))
+        if leftovers:
+            sys.exit(f"{label}: left {', '.join(leftovers)} behind")
         stderr = b"".join(line for line in proc.stderr.splitlines(keepends=True)
                           if not line.startswith(b"wall time"))
         out = [(_sha256(str(proc.returncode).encode()), f"{label}/exit"),
