@@ -42,7 +42,7 @@ CHUNK_BYTES = 512 * 1024
 
 #: read_out tests for peaks the bins within this many line half-widths,
 #: 1/(2 pi T2), of either line (and within the line window); it bounds the
-#: rest exactly, so this sets how many rows are built whole, never a result
+#: other bins exactly, so this sets how many rows are built whole, never a result
 SPAN_HALF_WIDTHS = 4.0
 
 #: read_out's outcome code of each run: its parity, or why it has none (lines
@@ -164,7 +164,7 @@ def _basis(nu12: float, nu23: float, t2: float, n: int, dwell: float):
 
 @functools.lru_cache(maxsize=4)
 def _near_lines(nu12: float, nu23: float, t2: float, n: int, dwell: float):
-    """The bins read_out builds for one acquisition: (window, dnu, spans, far, rest).
+    """The bins read_out builds for one acquisition: (window, dnu, spans, far).
 
     A peak's vertex lies within half a bin of its bin, so only the bins within
     window + 2 dnu of a line, less the two edge bins, can hold that line.
@@ -174,28 +174,21 @@ def _near_lines(nu12: float, nu23: float, t2: float, n: int, dwell: float):
     tested bins, read-only views of the four _basis arrays over those bins
     and one neighbour on each side), in ascending bin order. far holds max
     |P12|, |Q12|, |P23|, |Q23| over the bins no span tests, or 0.0 where
-    there are none; rest holds, per line, those maxima over the untested
-    bins within window + 2 dnu of it, less the edge bins.
+    there are none.
     """
     basis = _basis(nu12, nu23, t2, n, dwell)
     freqs = _frequency_axis(n, dwell)
     window, dnu = _line_window(nu12, nu23), float(freqs[1] - freqs[0])
     reach = min(window, SPAN_HALF_WIDTHS / (2.0 * np.pi * t2))
-    inner = np.ones(n, bool)
-    inner[[0, -1]] = False
-    tested = inner & ((np.abs(freqs - nu12) <= reach + 2.0 * dnu)
-                      | (np.abs(freqs - nu23) <= reach + 2.0 * dnu))
+    near = reach + 2.0 * dnu
+    tested = (np.abs(freqs - nu12) <= near) | (np.abs(freqs - nu23) <= near)
+    tested[[0, -1]] = False  # an edge bin is never a peak
     tested[1:-1] |= tested[:-2] & tested[2:]
     edges = np.flatnonzero(np.diff(tested, prepend=False, append=False))
     spans = tuple((freqs[a:b], tuple(x[a - 1:b + 1] for x in basis))
                   for a, b in zip(edges[::2].tolist(), edges[1::2].tolist()))
-
-    def maxima(where):
-        return tuple(float(np.max(np.abs(x), where=where, initial=0.0)) for x in basis)
-
-    rest = tuple(maxima(inner & ~tested & (np.abs(freqs - nu) <= window + 2.0 * dnu))
-                 for nu in (nu12, nu23))
-    return window, dnu, spans, maxima(~tested), rest
+    far = tuple(float(np.max(np.abs(x), where=~tested, initial=0.0)) for x in basis)
+    return window, dnu, spans, far
 
 
 def _combine(x12, y12, x23, y23, basis, out: np.ndarray) -> np.ndarray:
@@ -290,18 +283,17 @@ def read_out(rhos: np.ndarray, p: HamiltonianParams, r: RelaxationParams,
 
     Re is built, a chunk of rows at a time, only over the spans of
     _near_lines, and the spans' peaks are read (_read_peaks). For c = x + iy,
-    the bound B = ((|x12| M_P12 + |y12| M_Q12) + |x23| M_P23) + |y23| M_Q23
-    (_far_bound) over maxima M of the basis arrays bounds the computed |Re| of
-    every bin those maxima cover exactly. So a row's reading is its whole
-    spectrum's when B_far, over the bins no span tests, is at most its top;
-    for each line, its |line| exceeds B_rest, over that line's untested
-    bins, or B_rest is below the 10% floor; and a span peaks, or B_far is
-    below the floor (no peak at all). Every other row is built over all n
-    bins and read by the same _read_peaks.
+    the bound B = ((|x12| F_P12 + |y12| F_Q12) + |x23| F_P23) + |y23| F_Q23
+    (_far_bound) over the maxima F of the basis arrays on the bins no span
+    tests bounds the computed |Re| of each of those bins exactly. So a row's
+    reading is its whole spectrum's when B is at most its top, and either B
+    is below the 10% floor (no bin outside the spans peaks) or a span peaks
+    and both lines' |Re| exceed B (no bin outside the spans outweighs them).
+    Every other row is built over all n bins and read by the same _read_peaks.
     """
     nu12, nu23 = check_acquisition(p, r, n, dwell)
     basis = _basis(nu12, nu23, r.t2, n, dwell)
-    window, dnu, spans, far, rest = _near_lines(nu12, nu23, r.t2, n, dwell)
+    window, dnu, spans, far = _near_lines(nu12, nu23, r.t2, n, dwell)
     total = len(rhos)
     lines, top = np.zeros((2, total)), np.zeros(total)  # line12, line23
     found, settled = np.zeros(total, bool), np.zeros(total, bool)
@@ -310,13 +302,10 @@ def read_out(rhos: np.ndarray, p: HamiltonianParams, r: RelaxationParams,
     read = functools.partial(_read_peaks, (nu12, nu23), window, dnu)
     for i, x, signed in _build(np.arange(total), coefs, spans):
         lines[:, i], top[i], found[i] = read(len(i), signed)
-        floor = PEAK_THRESHOLD * top[i]
         bound = _far_bound(*x, far)
-        ok = (bound <= top[i]) & (found[i] | (bound < floor))
-        for line, maxima in zip(lines[:, i], rest):
-            bound = _far_bound(*x, maxima)
-            ok &= (np.abs(line) > bound) | (bound < floor)
-        settled[i] = ok
+        lines_above = (np.abs(lines[:, i]) > bound).all(axis=0)
+        settled[i] = (bound <= top[i]) & ((bound < PEAK_THRESHOLD * top[i])
+                                          | (found[i] & lines_above))
     axis = _frequency_axis(n, dwell)[1:-1]
     for i, _, signed in _build(np.flatnonzero(~settled), coefs, [(axis, basis)]):
         lines[:, i], top[i], found[i] = read(len(i), signed)

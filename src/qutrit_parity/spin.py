@@ -135,17 +135,13 @@ def _pulse_matrices(target: str, flips_deg, phase_deg: float) -> np.ndarray:
     return u
 
 
-def virtualz_propagator(vz: VirtualZ) -> Operator3:
-    phases = np.ones(3, dtype=complex)
-    phases[vz.level - 1] = np.exp(1j * math.radians(vz.angle_deg))
-    return Operator3(np.diag(phases))
-
-
 def event_propagator(event: Event) -> Operator3:
     if isinstance(event, Pulse):
         return pulse_propagator(event)
     if isinstance(event, VirtualZ):
-        return virtualz_propagator(event)
+        phases = np.ones(3, dtype=complex)
+        phases[event.level - 1] = np.exp(1j * math.radians(event.angle_deg))
+        return Operator3(np.diag(phases))
     if isinstance(event, GradientEvent):
         raise ValueError("a gradient is not unitary and has no propagator")
     raise TypeError(f"unknown event {event!r}")
