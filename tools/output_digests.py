@@ -4,14 +4,23 @@ Each command runs as `python -m qutrit_parity.cli ... --output-dir .` in a
 child process with PYTHONPATH=DIR (default: this repository's src) and a fresh
 temporary working directory. For each command it digests the exit code,
 stdout, stderr without the `wall time` line, and every file written, and it
-prints one `<sha256>  <command>/<file>` line per digest, sorted by name. It
-exits 1, naming the command, if a command leaves a `.tmp-*` file or directory
-behind. Two source trees produce the same outputs when their listings are
-identical:
+prints one `<sha256>  <command>/<file>` line per digest, sorted by name, under
+a header line naming the numpy version and OpenBLAS core type of the children.
+It exits 1, naming the command, if a command leaves a `.tmp-*` file or
+directory behind. Two source trees produce the same outputs when their
+listings are identical:
 
     python tools/output_digests.py --src A/src > a.txt
     python tools/output_digests.py --src B/src > b.txt
     diff a.txt b.txt
+
+The listing of this tree's outputs is committed as tests/data/output_digests.txt;
+`--check FILE` compares a new listing with FILE, prints each line that differs
+with the command that made it, and exits 1 if any does. A change that moves
+output bytes on purpose regenerates the file:
+
+    python tools/output_digests.py > tests/data/output_digests.txt
+    python tools/output_digests.py --check tests/data/output_digests.txt
 """
 
 from __future__ import annotations
@@ -19,6 +28,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -101,16 +112,50 @@ def digests(label: str, args: list, src: Path) -> list:
     return out
 
 
+def header(src: Path) -> str:
+    """The numpy version and OpenBLAS core type that a child process loads."""
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_VERBOSE="2")
+    proc = subprocess.run([sys.executable, "-c", "import numpy; print(numpy.__version__)"],
+                          env=env, capture_output=True, text=True, check=True)
+    core = re.search(r"Core: (\S+)", proc.stderr)
+    return f"# numpy {proc.stdout.strip()}, OpenBLAS core {core[1] if core else 'unknown'}"
+
+
+def listing(src: Path) -> list:
+    found = [pair for label, cmd in COMMANDS.items() for pair in digests(label, cmd, src)]
+    found.sort(key=lambda pair: pair[1])
+    return [header(src)] + [f"{digest}  {name}" for digest, name in found]
+
+
+def check(lines: list, path: Path) -> int:
+    """0 if lines equal the listing in path; else print what differs, and 1."""
+    want = path.read_text().splitlines()
+    if want[:1] != lines[:1]:
+        print(f"{path} was made with {want[0][2:] if want else 'nothing'}; "
+              f"this run has {lines[0][2:]}")
+    old, new = (dict(reversed(line.split("  ", 1)) for line in side[1:]) for side in (want, lines))
+    moved = sorted(name for name in old.keys() | new.keys() if old.get(name) != new.get(name))
+    for name in moved:
+        label = name.split("/", 1)[0]
+        command = shlex.join(["qutrit-parity", *COMMANDS[label]]) if label in COMMANDS else "?"
+        print(f"{'moved' if name in old and name in new else 'only in one'}: {name}"
+              f"  ({command})")
+    print(f"{len(moved)} of {len(old.keys() | new.keys())} lines differ from {path}")
+    return 1 if moved else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", type=Path,
                         default=Path(__file__).resolve().parent.parent / "src",
                         help="directory that holds the qutrit_parity package")
+    parser.add_argument("--check", type=Path, metavar="FILE",
+                        help="compare with the listing in FILE instead of printing")
     args = parser.parse_args(argv)
-    src = args.src.resolve()
-    found = [pair for label, cmd in COMMANDS.items() for pair in digests(label, cmd, src)]
-    found.sort(key=lambda pair: pair[1])
-    print("\n".join(f"{digest}  {name}" for digest, name in found))
+    lines = listing(args.src.resolve())
+    if args.check:
+        return check(lines, args.check)
+    print("\n".join(lines))
     return 0
 
 
