@@ -218,8 +218,12 @@ def optimize_sequence(template: SequenceTemplate, target: np.ndarray,
         raise ValueError(f"{k} free parameters need a grid of 2^{k} = {2 ** k} "
                          f"fidelity evaluations, not under the budget of {budget}")
     # imported here: scipy.optimize costs every CLI process ~0.15 s, and
-    # nothing else in the package needs it
-    from scipy.optimize import minimize
+    # nothing else in the package needs it, so it is an optional dependency
+    try:
+        from scipy.optimize import minimize
+    except ImportError as exc:
+        raise ImportError("optimize_sequence needs scipy, the 'optimize' extra: "
+                          "pip install 'qutrit-parity[optimize]'") from exc
 
     def infidelity(x) -> float:
         achieved = sequence_propagator(template.bind(x)).entries

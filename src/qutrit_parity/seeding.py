@@ -27,7 +27,6 @@ _HASH_A, _MULT_A, _HASH_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38
 _MIX_L, _MIX_R, _PCG_MULT = 0xCA01F9DD, 0x4973F715, 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32, _MASK52, _MASK64, _MASK128 = 2**32 - 1, 2**52 - 1, 2**64 - 1, 2**128 - 1
 _MULT_HI, _MULT_LO = _PCG_MULT >> 64, _PCG_MULT & _MASK64
-_KI, _WI = np.array(zig.KI, np.uint64), np.array(zig.WI)
 
 
 def entropy(key, reps=None) -> np.ndarray:
@@ -121,11 +120,11 @@ def _standard_normal(hi, lo, inc_hi, inc_lo, k: int) -> np.ndarray:
         bits = value >> rot | value << (64 - rot & 63)
         layer = (bits & 0xFF).astype(np.intp)
         rabs = bits >> 9 & _MASK52
-        x = rabs * _WI[layer]
+        x = rabs * zig.WI[layer]
         # in place on a contiguous column: numpy 2.4 mis-writes a strided
         # out= that is its own input when where= is given
         np.negative(x, out=x, where=(bits & 0x100).astype(bool))
-        missed = np.flatnonzero(rabs >= _KI[layer])
+        missed = np.flatnonzero(rabs >= zig.KI[layer])
         for i, *row in zip(missed.tolist(), *(a[missed].tolist()
                                               for a in (hi, lo, inc_hi, inc_lo, bits))):
             x[i], state = _finish(*row)

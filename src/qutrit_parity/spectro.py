@@ -16,14 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ENTRY_TOL, DensityMatrix, _frozen, apply_unitary
+from .core import ENTRY_TOL, DensityMatrix, _frozen
 from .spin import (
     GradientEvent,
     HamiltonianParams,
     Pulse,
     RelaxationParams,
-    crush,
     pulse_propagator,
+    run_pulse_program,
     transition_frequencies,
 )
 
@@ -85,9 +85,11 @@ def detection_events(flip_deg: float) -> list:
 
 
 def detect(rho: DensityMatrix, flip_deg: float) -> DensityMatrix:
-    """detection_events on one density matrix, by spin.crush and core.apply_unitary."""
-    crushed = DensityMatrix(crush(rho.entries), rho.kind)
-    return apply_unitary(crushed, pulse_propagator(detection_events(flip_deg)[1]))
+    """detection_events on one density matrix, through the pulse engine; the
+    detection pulse is checked unitary at this single-matrix boundary."""
+    events = detection_events(flip_deg)
+    pulse_propagator(events[1])
+    return run_pulse_program(rho, events)
 
 
 def check_acquisition(p: HamiltonianParams, r: RelaxationParams, n: int,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import DensityMatrix, NonUnitaryError, Operator3, check_density, rotate
+from .core import DensityMatrix, NonUnitaryError, Operator3, check_density
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -79,6 +79,8 @@ class VirtualZ:
     def __post_init__(self):
         if self.level not in (1, 2, 3):
             raise ValueError(f"level must be 1, 2 or 3, got {self.level}")
+        if not math.isfinite(self.angle_deg):
+            raise ValueError(f"angle must be finite, got {self.angle_deg}")
 
 
 @dataclass(frozen=True)
@@ -108,31 +110,13 @@ def pulse_propagator(pl: Pulse) -> Operator3:
 
 
 def _pulse_matrices(target: str, flips_deg, phase_deg: float) -> np.ndarray:
-    """pulse_propagator's matrix for each flip angle, (R, 3, 3), unchecked, in
-    closed form: the SU(2) rotation of one sub-block, or the j = 1 Wigner
-    rotation 1 - i sin(flip) G + (cos(flip) - 1) G^2, as G^3 = G for spin 1."""
-    theta, phi = np.radians(flips_deg), math.radians(phase_deg)
-    cphi, sphi = math.cos(phi), math.sin(phi)
-    u = np.zeros((len(theta), 3, 3), dtype=complex)
-    re, im = u.real, u.imag  # entries set part by part, as complex(re, im)
-    if target == "nonselective":
-        ct, a = np.cos(theta), np.sin(theta) / _SQRT2
-        re[:, 0, 0] = re[:, 2, 2] = (1.0 + ct) / 2.0
-        re[:, 1, 1] = ct
-        re[:, 0, 1] = re[:, 1, 2] = -a * sphi  # above the diagonal; below it:
-        re[:, 1, 0] = re[:, 2, 1] = a * sphi
-        im[:, 0, 1] = im[:, 1, 2] = im[:, 1, 0] = im[:, 2, 1] = -a * cphi
-        twice = complex(cphi * cphi - sphi * sphi, -2.0 * cphi * sphi)  # e^{-2i phi}
-        u[:, 0, 2] = (ct - 1.0) / 2.0 * twice
-        u[:, 2, 0] = u[:, 0, 2].conj()
-        return u
-    s, c = np.sin(theta / 2.0), np.cos(theta / 2.0)
-    p, q = TRANSITIONS[target]
-    re[:, p, p] = re[:, q, q] = c
-    re[:, 3 - p - q, 3 - p - q] = 1.0  # the level the pulse leaves alone
-    re[:, p, q], im[:, p, q] = -s * sphi, -s * cphi  # -i sin(flip/2) e^{-i phi}
-    re[:, q, p], im[:, q, p] = s * sphi, -s * cphi  # and e^{+i phi} below the diagonal
-    return u
+    """pulse_propagator's matrix for each flip angle, (R, 3, 3), unchecked: the
+    engine's U after that one pulse."""
+    flips = np.asarray(flips_deg, dtype=float)[:, None]
+    u, _ = _carry([Pulse(target, 360.0, phase_deg)], flips, None)
+    out = np.empty((len(flips), 3, 3), dtype=complex)
+    out.real, out.imag = u.transpose(1, 3, 0, 2)
+    return out
 
 
 def event_propagator(event: Event) -> Operator3:
@@ -145,11 +129,6 @@ def event_propagator(event: Event) -> Operator3:
     if isinstance(event, GradientEvent):
         raise ValueError("a gradient is not unitary and has no propagator")
     raise TypeError(f"unknown event {event!r}")
-
-
-def crush(rho: np.ndarray) -> np.ndarray:
-    """A GradientEvent on rho (..., 3, 3): the diagonal kept, +0 elsewhere."""
-    return np.where(np.eye(3, dtype=bool), rho, 0.0)
 
 
 def thermal_deviation() -> DensityMatrix:
@@ -168,26 +147,142 @@ def with_flips(events, flips) -> list:
     return [replace(e, flip_deg=next(it)) if isinstance(e, Pulse) else e for e in events]
 
 
+#: U = 1, held like U (3, 2, 3, 1): u[j, 0, k] and u[j, 1, k] are Re and Im U_jk
+_ONE = np.stack([np.eye(3), np.zeros((3, 3))], axis=1)[..., None]
+#: the signs of a selective pulse's -i sin e^{-+i phi} off its diagonal on rows
+#: (p, q) of its block and parts (re, im): its sin phi part takes the other
+#: row, its cos phi part the other row with its parts swapped
+_ACROSS = np.array([[-1.0, -1.0], [1.0, 1.0]])[..., None, None]
+_TURN = np.array([[1.0, -1.0], [1.0, -1.0]])[..., None, None]
+
+
+def _carry(events, flips: np.ndarray, m):
+    """Take R rows through events at once as U, the product of the events
+    since the last crusher, row r turning the k-th pulse by flips[r, k]
+    degrees: a selective pulse updates the two rows of U in its block, a
+    virtual-z one row and a nonselective pulse all three. m is the state that U
+    acts on, a diagonal (3, R) or a matrix held like U; a crusher makes the
+    diagonal of U m U^dagger the new m and restarts U at 1. Every product is
+    separate real multiplies and adds in one fixed order, so the bytes of a row
+    depend on its own flips alone. Returns (U, m), U None where it is 1."""
+    pulses = [e for e in events if isinstance(e, Pulse)]
+    # half the flip of a selective pulse, an SU(2) rotation; a nonselective one's whole flip
+    theta = np.radians(flips.T)
+    theta *= np.array([0.5 if e.target in TRANSITIONS else 1.0 for e in pulses])[:, None]
+    phi = np.radians([e.phase_deg for e in pulses])
+    pulses = zip(np.cos(theta), np.sin(theta, out=theta), np.multiply.outer(np.sin(phi), _ACROSS),
+                 np.multiply.outer(np.cos(phi), _TURN))
+    # the scratch space, allocated once: two row blocks t1, t2, or w, a matrix held like U
+    u, scratch, one = np.empty((3, 2, 3, len(flips))), np.empty((24, len(flips))), True
+    t1, t2 = scratch.reshape(2, *u[:2].shape)
+    w = scratch[:18].reshape(u.shape)
+    blocks = {target: (u[p:q + 1], u[q::-1][:2]) for target, (p, q) in TRANSITIONS.items()}
+    for event in events:
+        if isinstance(event, GradientEvent):
+            if not one:  # the diagonal of U m U^dagger: sum over l of Re V_jl conj(U_jl)
+                np.multiply(_times_m(u, m, w), u, out=w)
+                t = w[:, 0] + w[:, 1]
+                m = t[:, 0] + t[:, 1] + t[:, 2]
+            elif m.ndim == 4:
+                m = m[[0, 1, 2], 0, [0, 1, 2]]
+            one = True
+            continue
+        if isinstance(event, VirtualZ):  # row l times e^{i alpha}
+            if one:
+                np.copyto(u, _ONE)
+            row, alpha = u[event.level - 1], math.radians(event.angle_deg)
+            np.multiply(row[::-1], np.array([-math.sin(alpha), math.sin(alpha)])[:, None, None],
+                        out=t1[0])
+            np.multiply(row, math.cos(alpha), out=row)
+            np.add(row, t1[0], out=row)
+        elif event.target == "nonselective":
+            _wigner(u if one else w, *next(pulses)[:2], math.radians(event.phase_deg))
+            if not one:
+                u[...] = _times(w, u)
+        else:
+            c, s, across, turn = next(pulses)
+            if one:
+                np.copyto(u, _ONE)
+            block, swapped = blocks[event.target]
+            np.multiply(swapped, across, out=t1)
+            np.multiply(swapped[:, ::-1], turn, out=t2)
+            np.add(t1, t2, out=t1)
+            np.multiply(t1, s, out=t1)
+            np.multiply(block, c, out=block)
+            np.add(block, t1, out=block)
+        one = False
+    return None if one else u, m
+
+
+def _wigner(w: np.ndarray, ct, st, phi: float):
+    """Write into w, held like U, the j = 1 Wigner rotation of each row,
+    1 - i sin(flip) G + (cos(flip) - 1) G^2 as G^3 = G for spin 1."""
+    cphi, sphi = math.cos(phi), math.sin(phi)
+    re, im, a = w[:, 0], w[:, 1], st / _SQRT2
+    re[0, 0] = re[2, 2] = (1.0 + ct) / 2.0
+    re[1, 1] = ct
+    re[0, 1] = re[1, 2] = -a * sphi  # above the diagonal; below it:
+    re[1, 0] = re[2, 1] = a * sphi
+    im[0, 1] = im[1, 2] = im[1, 0] = im[2, 1] = -a * cphi
+    corner = (ct - 1.0) / 2.0  # times e^{-2i phi}, and its conjugate below
+    re[0, 2] = re[2, 0] = corner * (cphi * cphi - sphi * sphi)
+    im[0, 2] = corner * (-2.0 * cphi * sphi)
+    im[2, 0] = -im[0, 2]
+    im[0, 0] = im[1, 1] = im[2, 2] = 0.0
+
+
+def _times(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    """The product a b of matrices held like U."""
+    re = a[:, 0, :, None] * b[:, 0] - a[:, 1, :, None] * b[:, 1]  # (j, i, k, R)
+    im = a[:, 0, :, None] * b[:, 1] + a[:, 1, :, None] * b[:, 0]
+    return np.stack([re[:, 0] + re[:, 1] + re[:, 2], im[:, 0] + im[:, 1] + im[:, 2]],
+                    axis=1, out=out)
+
+
+def _times_m(u: np.ndarray, m: np.ndarray, out=None) -> np.ndarray:
+    """U m, m a diagonal (3, R) or a matrix held like U."""
+    return np.multiply(u, m, out=out) if m.ndim == 2 else _times(u, m, out)
+
+
+def _ensemble(u, m: np.ndarray, rho0: DensityMatrix, rows: int) -> np.ndarray:
+    """The (R, 3, 3) rows of U m U^dagger, from what _carry returns: the upper
+    triangle, each entry the sum over l of V_jl conj(U_kl) with V = U m, mirrored."""
+    rho = np.zeros((rows, 3, 3), dtype=complex)
+    if u is None:
+        if m.ndim == 2:
+            rho.real[:, [0, 1, 2], [0, 1, 2]] = m.T
+        else:  # no event has touched it
+            rho[...] = rho0.entries
+        return rho
+    for j in range(3):
+        (vr, vi), (ur, ui) = _times_m(u[j:j + 1], m)[0], u[j:].swapaxes(0, 1)
+        re = vr * ur + vi * ui
+        re = re[:, 0] + re[:, 1] + re[:, 2]
+        im = vi * ur - vr * ui
+        im = im[:, 0] + im[:, 1] + im[:, 2]
+        im[0] = 0.0  # the diagonal of a Hermitian matrix is real
+        rho.real[:, j, j:], rho.imag[:, j, j:] = re.T, im.T
+        rho.real[:, j:, j], rho.imag[:, j + 1:, j] = re.T, -im[1:].T
+    return rho
+
+
 def run_pulse_batch(rho0: DensityMatrix, events, flips) -> np.ndarray:
-    """Apply events in time order to R copies of rho0 at once by crush and rotate,
-    row r turning the k-th pulse by flips[r, k] degrees. Flips are checked finite
-    at entry (a finite flip's closed-form propagator is unitary), and the (R, 3,
-    3) rows at exit as entries of rho0's kind."""
+    """Apply events in time order to R copies of rho0 at once, row r turning the
+    k-th pulse by flips[r, k] degrees, by carrying U between crushers (_carry).
+    Flips are checked finite at entry (a finite flip's closed-form propagator is
+    unitary), and the (R, 3, 3) rows at exit as entries of rho0's kind."""
     events, flips = list(events), np.asarray(flips, dtype=float)
     if flips.ndim != 2 or flips.shape[1] != len(pulse_flips(events)):
         raise ValueError(f"need (R, K) flips for the K pulses, got {flips.shape}")
     if not np.isfinite(flips).all():
         r, k = np.argwhere(~np.isfinite(flips))[0]
         raise NonUnitaryError(f"row {r}'s pulse {k} turns by {flips[r, k]} degrees", math.nan)
-    rho = np.tile(rho0.entries, (len(flips), 1, 1))
-    pulses = iter(flips.T)
-    for event in events:
-        if isinstance(event, GradientEvent):
-            rho = crush(rho)
-            continue
-        u = (_pulse_matrices(event.target, next(pulses), event.phase_deg)
-             if isinstance(event, Pulse) else event_propagator(event).entries)
-        rho = rotate(u, rho)
+    m = rho0.entries
+    if np.count_nonzero(m - np.diag(m.diagonal().real)):
+        m = np.stack([m.real, m.imag], axis=1)[..., None]
+    else:
+        m = m.diagonal().real[:, None]
+    rho = _ensemble(*_carry(events, flips, m), rho0, len(flips))
     check_density(rho, rho0.kind)
     return rho
 

@@ -532,6 +532,41 @@ def test_noise_free_run_matches_recorded_fixture(tmp_path, name, mode, output, f
     assert read(tmp_path / output) == read(DATA / fixture / f"{name}.json")
 
 
+#: the pulse-path fixtures above: (command, {output file: fixture})
+PULSE_FIXTURES = [
+    (["sweep", "--noise-sigma-deg", "5", "--repeat", "20", "--seed", "1"],
+     {"sweep.tsv": "sweep_sigma5_seed1.tsv"}),
+    *((["run", "--mode", "pulse", "--permutation", f"f{k}"],
+       {"readout.json": f"pulse_readout/f{k}.json"}) for k in range(1, 7)),
+    (["run", "--mode", "pulse", "--permutation", "f4", "--noise-sigma-deg", "5", "--seed", "3"],
+     {name: f"run_f4_sigma5_seed3/{name}"
+      for name in ("readout.json", "run_record.json", "pulse_program.json")}),
+]
+
+
+@pytest.mark.parametrize("coretype", ["Haswell", "Sandybridge"])
+def test_pulse_fixtures_hold_on_every_openblas_kernel(tmp_path, coretype):
+    """The pulse engine makes no BLAS call, so the pulse path's pinned bytes do
+    not depend on which OpenBLAS kernel numpy loads. One child per kernel runs
+    every fixture command, each from its own directory into ".", as the
+    fixtures were recorded."""
+    script = (
+        "import os, sys\n"
+        "from qutrit_parity.cli import main\n"
+        f"for k, argv in enumerate({[argv for argv, _ in PULSE_FIXTURES]!r}):\n"
+        "    os.mkdir(str(k)); os.chdir(str(k))\n"
+        "    main(argv + ['--output-dir', '.'])\n"
+        "    os.chdir('..')\n")
+    env = dict(_package_env(), OPENBLAS_CORETYPE=coretype, OPENBLAS_VERBOSE="2")
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert f"Core: {coretype}" in proc.stderr  # the kernel it was asked to load
+    for k, (argv, files) in enumerate(PULSE_FIXTURES):
+        for name, fixture in files.items():
+            assert read(tmp_path / str(k) / name) == read(DATA / fixture), (coretype, argv, name)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2014, [5, 2, 7]])
 @pytest.mark.parametrize("sigma", [0.5, 5.0, 60.0, 360.0])
 def test_one_vector_draw_equals_scalar_draws(seed, sigma):

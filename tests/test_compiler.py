@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -160,6 +161,15 @@ class TestVerify:
         seq = optimize_sequence(template, GATE_TARGETS["S12"], budget=300)
         assert not seq.phase_exact
         assert measurement(seq) == separate_measurement(seq)
+
+
+    def test_without_scipy_the_error_names_the_extra(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "scipy.optimize", None)  # import fails
+        template = SequenceTemplate(
+            prototypes=({"kind": "virtualz", "target": "level2", "flip_deg": "z"},),
+        )
+        with pytest.raises(ImportError, match=r"qutrit-parity\[optimize\]"):
+            optimize_sequence(template, GATE_TARGETS["S12"], budget=300)
 
 
 class TestInvertEvents:

@@ -63,9 +63,9 @@ def single_coherence(c23=1.0, c12=0.0):
 
 class TestDetect:
     def test_equals_the_engine_detection_step(self):
-        """detect and run_pulse_program take detection_events through the same
-        spin.crush and core.rotate, so the two agree bit for bit: crusher and
-        pulse, on coherent input."""
+        """detect takes detection_events through run_pulse_program, the one
+        pulse engine, so the two agree bit for bit: crusher and pulse, on
+        coherent input."""
         rng = np.random.default_rng(2024)
         for _ in range(200):
             a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))

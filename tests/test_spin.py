@@ -116,6 +116,8 @@ class TestPulsePropagator:
             Pulse("transition12", 90.0, 360.0)
         with pytest.raises(ValueError):
             Pulse("somewhere", 90.0, 0.0)
+        with pytest.raises(ValueError, match="angle must be finite, got nan"):
+            VirtualZ(2, math.nan)  # the engine builds no Operator3 to catch it
 
 
 def crush(rho: DensityMatrix) -> DensityMatrix:
@@ -126,14 +128,16 @@ class TestGradient:
     def test_diagonal_unchanged(self):
         rho = DensityMatrix(np.diag([0.2, 0.3, 0.5]))
         assert np.array_equal(crush(rho).entries, rho.entries)
-        # spin.crush keeps the diagonal bit for bit and writes +0.0, never -0.0, off it
+        # the crusher keeps the populations bit for bit, -0.0 included, and
+        # writes +0.0, never -0.0, everywhere else
         rng = np.random.default_rng(1)
-        m = -np.abs(rng.normal(size=(2, 3, 3))) - 1j * np.abs(rng.normal(size=(2, 3, 3)))
-        m[1] = complex(-0.0, -0.0)
-        out, diag = spin.crush(m), np.eye(3, dtype=bool)
-        assert out[:, diag].tobytes() == m[:, diag].tobytes()
-        off = out[:, ~diag]
-        assert not off.any() and not np.signbit([off.real, off.imag]).any()
+        m = -np.abs(rng.normal(size=(3, 3))) - 1j * np.abs(rng.normal(size=(3, 3)))
+        m = m + m.conj().T
+        m[np.diag_indices(3)] = [-0.0, -0.75, 0.75]
+        out, diag = crush(DensityMatrix(m, "deviation")).entries, np.eye(3, dtype=bool)
+        assert out.real[diag].tobytes() == m.real[diag].tobytes()
+        rest = np.concatenate([out.imag[diag], out[~diag].real, out[~diag].imag])
+        assert not rest.any() and not np.signbit(rest).any()
 
     def test_crushes_uniform_superposition(self):
         psi = np.ones(3) / np.sqrt(3)
@@ -273,21 +277,38 @@ def random_event(rng):
     return GradientEvent()
 
 
+#: the engine's largest error against reference_run, in eps of rho0's largest
+#: entry (measured: 2.8). That entry bounds every later one, as a unitary keeps
+#: the norm and a crusher lowers it, so it stays the scale of the rounding
+#: where a crusher leaves a row near zero; a row's own largest entry does not.
+REFERENCE_EPS = 4
+
+
+def assert_near_reference(got: np.ndarray, rho0: DensityMatrix, events):
+    want = reference_run(rho0, events).entries
+    scale = np.max(np.abs(rho0.entries))
+    error = np.max(np.abs(got - want)) / (scale * np.finfo(float).eps)
+    assert error <= REFERENCE_EPS, (error, events)
+
+
 class TestRunPulseProgramContract:
-    def test_bit_identical_to_validating_loop(self):
+    def test_within_a_few_eps_of_the_validating_loop(self):
+        """The engine against the u rho u^dagger loop of DensityMatrix and
+        Operator3 checks: different arithmetic, the same states."""
         rng = np.random.default_rng(2014)
         for _ in range(200):
             events = [random_event(rng) for _ in range(rng.integers(1, 25))]
             got = run_pulse_program(thermal_deviation(), events)
-            want = reference_run(thermal_deviation(), events)
-            assert got.kind == want.kind == "deviation"
-            assert got.entries.tobytes() == want.entries.tobytes(), events
+            assert got.kind == "deviation"
+            assert_near_reference(got.entries, thermal_deviation(), events)
 
 
 class TestRunPulseBatch:
-    def test_every_row_bit_identical_to_validating_loop(self):
-        """50 rows of seeded flips per random program: each row equals the
-        reference loop run on the program with that row's flip angles."""
+    def test_every_row_bit_identical_to_its_own_run(self):
+        """50 rows of seeded flips per random program: each row equals
+        run_pulse_program on the program with that row's flip angles, byte for
+        byte, so a row does not depend on the others; and it lies within
+        REFERENCE_EPS of the validating loop."""
         rng = np.random.default_rng(2015)
         for _ in range(20):
             events = [random_event(rng) for _ in range(rng.integers(1, 25))]
@@ -295,8 +316,9 @@ class TestRunPulseBatch:
             got = run_pulse_batch(thermal_deviation(), events, flips)
             assert got.shape == (50, 3, 3)
             for row, row_flips in zip(got, flips):
-                want = reference_run(thermal_deviation(), with_flips(events, row_flips))
-                assert row.tobytes() == want.entries.tobytes(), events
+                own = with_flips(events, row_flips)
+                assert row.tobytes() == run_pulse_program(thermal_deviation(), own).entries.tobytes()
+                assert_near_reference(row, thermal_deviation(), own)
 
     @pytest.mark.parametrize("flip", [np.nan, np.inf, -np.inf])
     def test_non_unitary_row_rejected(self, flip):

@@ -4,8 +4,8 @@ NumPy's Generator.normal draws with a 256-layer ziggurat whose tables, ki_double
 wi_double and fi_double, are static arrays in the .rodata of distributions.c.o
 inside numpy/random/lib/libnpyrandom.a. This tool reads that archive with a
 small ar and ELF64 symbol-table reader (struct only, no binutils) and prints the
-module that holds the tables as literals, bit for bit. Run from the repository
-root:
+module that holds the tables as bytes literals, bit for bit. Run from the
+repository root:
 
     python tools/ziggurat_tables.py > src/qutrit_parity/_ziggurat.py
     python tools/ziggurat_tables.py --check   # exit 1 if the module differs
@@ -72,37 +72,40 @@ def elf_symbols(obj: bytes, names) -> dict:
 
 
 def read_tables(archive: Path) -> dict:
-    """{table name: tuple of 256 values}: ki_double as uint64, the others as doubles."""
+    """{table name: its 256 little-endian 8-byte values as they are stored}."""
     members = archive_members(archive.read_bytes())
     obj = next(body for name, body in members.items() if name.endswith("distributions.c.o"))
-    tables = {}
-    for name, raw in elf_symbols(obj, TABLES).items():
+    tables = elf_symbols(obj, TABLES)
+    for name, raw in tables.items():
         if len(raw) != 8 * SIZE:
             raise ValueError(f"{name} holds {len(raw)} bytes, not {8 * SIZE}")
-        tables[name] = struct.unpack(f"<{SIZE}{'Q' if name == 'ki_double' else 'd'}", raw)
     return tables
 
 
 def render(tables: dict) -> str:
-    """The text of _ziggurat.py: the tables as literals, a few per line."""
-    def block(name, values, per_line, fmt):
-        lines = [", ".join(map(fmt, values[i:i + per_line])) + ","
-                 for i in range(0, SIZE, per_line)]
-        return f"{name} = (\n" + "".join(f"    {line}\n" for line in lines) + ")\n"
+    """The text of _ziggurat.py: each table as one bytes literal, read with
+    np.frombuffer, since 768 numeric literals cost every import that has no
+    cached bytecode a few ms to compile."""
+    def block(name, raw, dtype):
+        escaped = ["".join(f"\\x{b:02x}" for b in raw[i:i + 24]) for i in range(0, len(raw), 24)]
+        lines = "\n".join(f'    b"{line}"' for line in escaped)
+        return f'{name} = np.frombuffer(\n{lines},\n    "{dtype}",\n)\n'
 
     return ('"""NumPy\'s ziggurat tables for the standard normal (random_standard_normal).\n'
             "\n"
             "The ki_double, wi_double and fi_double arrays of numpy/random/lib/libnpyrandom.a\n"
-            "(distributions.c.o), bit for bit, and the tail's edge r and 1/r as NumPy's\n"
-            "ziggurat_constants.h spells them. Generated by tools/ziggurat_tables.py; do\n"
-            'not edit by hand.\n"""\n'
+            "(distributions.c.o), bit for bit, as read-only arrays, and the tail's edge r\n"
+            "and 1/r as NumPy's ziggurat_constants.h spells them. Generated by\n"
+            'tools/ziggurat_tables.py; do not edit by hand.\n"""\n'
+            "\n"
+            "import numpy as np\n"
             "\n"
             "R = 3.6541528853610087963519472518\n"
             "INV_R = 0.27366123732975827203338247596\n"
             "\n"
-            + block("KI", tables["ki_double"], 4, lambda v: f"0x{v:016X}") + "\n"
-            + block("WI", tables["wi_double"], 3, repr) + "\n"
-            + block("FI", tables["fi_double"], 3, repr))
+            + block("KI", tables["ki_double"], "<u8") + "\n"
+            + block("WI", tables["wi_double"], "<f8") + "\n"
+            + block("FI", tables["fi_double"], "<f8"))
 
 
 def main(argv=None) -> int:
