@@ -9,9 +9,7 @@ included), and a command's files replace the old ones together.
 from __future__ import annotations
 
 import argparse
-import configparser
 import dataclasses
-import json
 import math
 import os
 import sys
@@ -37,10 +35,11 @@ from .permutations import (
 ENV_OUTPUT_DIR = "QUTRIT_PARITY_OUTPUT_DIR"
 
 #: sweep --repeat bound, which keeps a sweep's run time in check; its memory
-#: does not grow with --repeat, as it holds one block of repetitions at a time
+#: does not grow with --repeat, as it holds one block of rows at a time
 MAX_REPEAT = 10**5
 
-#: sweep draws, runs, reads out and writes this many repetitions at a time
+#: sweep draws, runs, reads out and writes this many rows of sweep.tsv at a
+#: time, in file order, so a block may span permutations
 SWEEP_BLOCK = 4096
 
 #: the sweep.tsv verdict of each spectro outcome code
@@ -107,15 +106,18 @@ class ConfigError(ValueError):
 
 
 def load_config(path: str, cfg: RunConfig | None = None) -> RunConfig:
-    """cfg (a new RunConfig by default) with the keys of a UTF-8 INI file set."""
+    """cfg (a new RunConfig by default) with the keys of a UTF-8 INI file set,
+    a byte order mark allowed; each value is read raw, as its flag reads it."""
+    import configparser  # here, so that a command without --config never loads it
+
     fields = {f.name: f for f in dataclasses.fields(RunConfig)}
     sections = {f.metadata["section"] for f in fields.values()}
     cfg = RunConfig() if cfg is None else cfg
     # "" can never be a section header, so "[DEFAULT]" is an ordinary (and
     # unknown) section rather than keys merged into every other section
-    parser = configparser.ConfigParser(default_section="")
+    parser = configparser.ConfigParser(default_section="", interpolation=None)
     try:
-        if not parser.read(path, encoding="utf-8"):
+        if not parser.read(path, encoding="utf-8-sig"):
             raise ConfigError(f"cannot read config file {path!r}")
         for section in parser.sections():
             if section not in sections:
@@ -147,28 +149,39 @@ def _write_files(directory: str, files: dict):
 
 
 def _json(obj) -> list:
+    import json  # here, so that a sweep never loads it
+
     return [json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"]
 
 
 def build_pulse_program(p: PermutationMap) -> list:
-    """Pseudopure prep, compiled F, compiled oracle, compiled F inverse."""
+    """Pseudopure prep, then the events of F, of the oracle and of F inverse."""
     events = list(spin.pseudopure_prep_events())
     for gate in ("F", "U" + name_of(p)[1], "Finv"):
-        events.extend(compiler.compile_gate(gate).events)
+        events.extend(compiler.gate_events(gate))
     return events
 
 
-def _draw_flips(cfg: RunConfig, events, key, reps=None) -> np.ndarray:
-    """(R, K) flips of the K pulses of events, one row per rep (one without
-    reps). With noise, row r adds K offsets drawn as default_rng([*key, reps[r]])
-    or default_rng(key) would, .normal(0, sigma, K), by _wrap_flips."""
-    nominal, sigma = spin.pulse_flips(events), cfg.pulse_angle_sigma_deg
+def _draw_flips(cfg: RunConfig, segments) -> list:
+    """The flips of each segment (events, key, reps): (R, K) flips of the K
+    pulses of events, one row per rep (one without reps). With noise, row r
+    adds K offsets drawn as default_rng([*key, reps[r]]) or default_rng(key)
+    would, .normal(0, sigma, K), by _wrap_flips. One normal_draws call draws
+    the rows of every segment (whose keys and reps must make rows of one word
+    count), as many draws each as the most pulses of any segment; a row's
+    stream is sequential, so its first K draws are the bytes of K draws."""
+    sigma = cfg.pulse_angle_sigma_deg
+    nominals = [spin.pulse_flips(events) for events, _, _ in segments]
+    counts = [1 if reps is None else len(reps) for _, _, reps in segments]
     if sigma == 0:
-        return np.tile(nominal, (1 if reps is None else len(reps), 1))
+        return [np.tile(nominal, (count, 1)) for nominal, count in zip(nominals, counts)]
     from . import seeding  # here, so that a command without noise never compiles it
 
-    entropy = seeding.entropy(key, reps)
-    return _wrap_flips(nominal, seeding.normal_draws(entropy, sigma, len(nominal)))
+    entropy = np.concatenate([seeding.entropy(key, reps) for _, key, reps in segments])
+    offsets = seeding.normal_draws(entropy, sigma, max(map(len, nominals)))
+    starts = np.cumsum([0, *counts]).tolist()
+    return [_wrap_flips(nominal, offsets[a:b, :len(nominal)])
+            for nominal, a, b in zip(nominals, starts, starts[1:])]
 
 
 def _wrap_flips(nominal: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -181,12 +194,12 @@ def _wrap_flips(nominal: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return flips
 
 
-def run_pulse_experiment(cfg: RunConfig, p: PermutationMap, key, reps=None):
-    """Prep, F, oracle, F inverse and detection for each rep (once without reps),
-    as one batch: the program as row 0 ran it, and the (R, 3, 3) detected rows."""
+def run_pulse_experiment(cfg: RunConfig, p: PermutationMap, key):
+    """Prep, F, oracle, F inverse and detection, with flips drawn under key:
+    the program as it ran, and the (1, 3, 3) detected row."""
     program = build_pulse_program(p)
     events = program + spectro.detection_events(cfg.detection_flip_deg)
-    flips = _draw_flips(cfg, events, key, reps)
+    [flips] = _draw_flips(cfg, [(events, key, None)])
     return spin.with_flips(program, flips[0]), spin.run_pulse_batch(
         spin.thermal_deviation(), events, flips)
 
@@ -238,17 +251,29 @@ def cmd_sweep(cfg: RunConfig, repetitions: int = 1) -> int:
         print(f"warning: sweep runs all six permutations at the pulse level; "
               f"{' and '.join(ignored)} ignored", file=sys.stderr)
     acquisition = cfg.hamiltonian(), cfg.relaxation(), cfg.n, cfg.dwell_s
+    detection = spectro.detection_events(cfg.detection_flip_deg)
+    programs = [(name, build_pulse_program(perm) + detection,
+                 spectro.EVEN if parity_by_counting(perm) is Parity.EVEN else spectro.ODD)
+                for name, perm in NAMED_MAPS.items()]
     correct, total = 0, 6 * repetitions
 
     def rows():
-        """sweep.tsv's lines, one block of SWEEP_BLOCK repetitions at a time."""
+        """sweep.tsv's lines, SWEEP_BLOCK of them at a time: row q is permutation
+        q // repetitions at rep q % repetitions. A block draws its noise at once,
+        then runs and reads out each permutation's part of it."""
         nonlocal correct
         yield "permutation\trep\tverdict\tline12\tline23\tmatch\n"
-        for index, (name, perm) in enumerate(NAMED_MAPS.items()):
-            want = spectro.EVEN if parity_by_counting(perm) is Parity.EVEN else spectro.ODD
-            for start in range(0, repetitions, SWEEP_BLOCK):
-                reps = range(start, min(start + SWEEP_BLOCK, repetitions))
-                _, rhos = run_pulse_experiment(cfg, perm, [cfg.seed, index], reps)
+        for start in range(0, total, SWEEP_BLOCK):
+            stop = min(start + SWEEP_BLOCK, total)
+            # each permutation's reps among the block's rows; first is its first row
+            parts = [(index, range(max(start - first, 0), min(stop - first, repetitions)))
+                     for index, first in enumerate(range(0, total, repetitions))]
+            parts = [(index, reps) for index, reps in parts if reps]
+            flips = _draw_flips(cfg, [(programs[index][1], [cfg.seed, index], reps)
+                                      for index, reps in parts])
+            for (index, reps), block in zip(parts, flips):
+                name, events, want = programs[index]
+                rhos = spin.run_pulse_batch(spin.thermal_deviation(), events, block)
                 line12, line23, _, codes = (c.tolist() for c in spectro.read_out(rhos, *acquisition))
                 correct += codes.count(want)
                 yield "".join(f"{name}\t{rep}\t{VERDICTS[code]}\t{a!r}\t{b!r}\t{code == want}\n"

@@ -1,4 +1,5 @@
-"""Compile named gates to pulse sequences, each measured up to global phase.
+"""Compile named gates to pulse sequences: gate_events builds a gate's events,
+and compile_gate measures them against the gate, up to global phase.
 
 Bare 180-degree selective pulses realize swaps only up to a sub-block phase
 (-i on the driven block), so every compiled sequence carries virtual-z
@@ -13,6 +14,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,8 +37,7 @@ class UnknownGateError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class CompiledSequence:
+class CompiledSequence(NamedTuple):
     name: str
     target: np.ndarray
     events: tuple
@@ -60,10 +61,11 @@ def fidelity(target: np.ndarray, achieved: np.ndarray) -> float:
 
 
 def sequence_propagator(events) -> Operator3:
-    """Ordered product of event propagators, rightmost factor earliest."""
+    """Ordered product of event propagators, rightmost factor earliest, formed
+    by einsum rather than BLAS."""
     u = np.eye(DIM, dtype=complex)
     for event in events:
-        u = event_propagator(event).entries @ u
+        u = np.einsum("ij,jk->ik", event_propagator(event).entries, u)
     return Operator3(u)
 
 
@@ -135,7 +137,7 @@ def _oracle(k: int, *swaps: str):
 #: events). Aliases, added below, share the entry of the oracle they name.
 _GATES = {
     "F": (FOURIER3.entries, _fourier_events),
-    "Finv": (FOURIER3_INV.entries, lambda: invert_events(_fourier_events())),
+    "Finv": (FOURIER3_INV.entries, lambda: invert_events(gate_events("F"))),
     "U1": _oracle(1),
     "U2": _oracle(2, "12", "23"),
     "U3": _oracle(3, "23", "12"),
@@ -150,13 +152,20 @@ GATE_NAMES = tuple(_GATES)
 
 
 @functools.cache
-def compile_gate(name: str) -> CompiledSequence:
-    """The gate's pulse sequence, built once per name: every later call
-    returns the same CompiledSequence, whose target is read-only."""
+def gate_events(name: str) -> tuple:
+    """The gate's pulse events, built once per name and never measured: what a
+    pulse program runs."""
     if name not in _GATES:
         raise UnknownGateError(f"unknown gate {name!r}; known: {', '.join(GATE_NAMES)}")
-    target, build = _GATES[name]
-    return _measured(name, target, tuple(build()))
+    return tuple(_GATES[name][1]())
+
+
+@functools.cache
+def compile_gate(name: str) -> CompiledSequence:
+    """gate_events(name) measured against the gate's target, once per name:
+    every later call returns the same CompiledSequence, whose target is read-only."""
+    events = gate_events(name)  # first: it rejects an unknown name
+    return _measured(name, _GATES[name][0], events)
 
 
 # --- template optimization --------------------------------------------------

@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -213,8 +214,7 @@ def classify_final_state(s: QutritState) -> Parity:
     raise UnclassifiableStateError(p_even, p_odd)
 
 
-@dataclass(frozen=True)
-class AlgorithmTrace:
+class AlgorithmTrace(NamedTuple):
     initial: QutritState
     post_fourier: QutritState
     post_oracle: QutritState

@@ -9,8 +9,9 @@ mix_entropy and generate_state) on its uint32 columns, then PCG64 (XSL-RR output
 and NumPy's ziggurat normal (random_standard_normal) on (hi, lo) uint64 limb
 columns, one draw of every row at a time. The ~1.5% of draws that miss the
 ziggurat's fast path finish in Python ints and libm (math.log1p, math.exp), as
-NumPy's C code does. entropy builds the array: run's seed, or a sweep block's
-[seed, index] on every row and its reps as one more column, one word each.
+NumPy's C code does. entropy builds the array: run's seed, or, for each
+permutation's part of a sweep block, [seed, index] on every row and its reps as
+one more column, one word each; a sweep stacks a block's parts into one array.
 """
 
 from __future__ import annotations

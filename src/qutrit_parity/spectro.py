@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,8 +70,7 @@ def _check_sampling(n: int, dwell: float):
                          f"got n = {n}, dwell = {dwell}")
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(NamedTuple):
     frequencies: np.ndarray  # Hz, ascending, spanning (-1/2dwell, +1/2dwell]
     amplitudes: np.ndarray  # complex
 

@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qutrit_parity
-from qutrit_parity import cli, compiler, spectro, spin
+from qutrit_parity import cli, compiler, seeding, spectro, spin
 from qutrit_parity.cli import ENV_OUTPUT_DIR, ConfigError, RunConfig, load_config, main
 
 
@@ -266,7 +266,7 @@ class TestInputContract:
         def unreachable(*args):
             raise AssertionError("a sweep ran before --repeat was checked")
 
-        monkeypatch.setattr(cli, "run_pulse_experiment", unreachable)
+        monkeypatch.setattr(spin, "run_pulse_batch", unreachable)
         assert main(["sweep", "--repeat", str(repeat), "--output-dir", str(tmp_path)]) == 1
         assert capsys.readouterr().err == (
             f"error: --repeat must be in [1, 100000], got {repeat}\n")
@@ -283,6 +283,22 @@ class TestInputContract:
         assert proc.stderr.startswith("error: malformed config file")
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "run_record.json").exists()
+
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+    def test_ini_values_read_as_the_flags_read_them(self, tmp_path, monkeypatch, bom):
+        """An INI value is read raw, a '%' included, and a UTF-8 file may start
+        with a byte order mark: the same config as the flags, and the same run."""
+        monkeypatch.delenv(ENV_OUTPUT_DIR, raising=False)
+        out = str(tmp_path / "runs" / "50%done")
+        path = tmp_path / "cfg.ini"
+        path.write_bytes(bom + f"[run]\nmode = gate\noutput_dir = {out}\n".encode())
+
+        def config(*argv):
+            return cli._config_from_args(cli.build_parser().parse_args(["run", *argv]))
+
+        assert config("--config", str(path)) == config("--mode", "gate", "--output-dir", out)
+        assert main(["run", "--config", str(path)]) == 0
+        assert json.loads(read(Path(out) / "run_record.json"))["config"]["output_dir"] == out
 
     @pytest.mark.parametrize("umask", [0o022, 0o027], ids=oct)
     def test_output_files_get_the_umask_mode(self, tmp_path, umask):
@@ -589,14 +605,20 @@ def test_drawn_flips_wrap_to_360_and_clip_detection():
 
 def test_drawn_flips_equal_the_default_rng_rule():
     """The flips of a noisy sweep row are _wrap_flips of default_rng([seed,
-    index, rep]).normal(0, sigma, K), byte for byte."""
+    index, rep]).normal(0, sigma, K), byte for byte, beside segments of more
+    pulses (f6, 11) and of fewer (f1, 8) drawn in the same call."""
     cfg = RunConfig(pulse_angle_sigma_deg=5.0, seed=3)
-    events = cli.build_pulse_program(cli.resolve("f2")) + spectro.detection_events(30.0)
-    nominal = spin.pulse_flips(events)
-    offsets = np.array([np.random.default_rng([3, 1, rep]).normal(0.0, 5.0, len(nominal))
-                        for rep in range(50)])
-    assert (cli._draw_flips(cfg, events, [3, 1], range(50)).tobytes()
-            == cli._wrap_flips(nominal, offsets).tobytes())
+    segments = [(cli.build_pulse_program(cli.resolve(name)) + spectro.detection_events(30.0),
+                 [3, index], reps)
+                for name, index, reps in (("f2", 1, range(50)), ("f6", 5, range(3)),
+                                          ("f1", 0, range(7, 9)))]
+    drawn = cli._draw_flips(cfg, segments)
+    assert [flips.shape for flips in drawn] == [(50, 10), (3, 11), (2, 8)]
+    for (events, key, reps), flips in zip(segments, drawn):
+        nominal = spin.pulse_flips(events)
+        offsets = np.array([np.random.default_rng([*key, rep]).normal(0.0, 5.0, len(nominal))
+                            for rep in reps])
+        assert flips.tobytes() == cli._wrap_flips(nominal, offsets).tobytes()
 
 
 def test_sweep_propagates_each_permutation_once(tmp_path, monkeypatch):
@@ -613,24 +635,40 @@ def test_sweep_propagates_each_permutation_once(tmp_path, monkeypatch):
     assert calls == [50] * 6
 
 
-@pytest.mark.parametrize("repeat, blocks", [(6, [6]), (7, [7]), (8, [7, 1]), (15, [7, 7, 1])])
+@pytest.mark.parametrize("repeat, blocks", [
+    (6, [[6, 1], [5, 2], [4, 3], [3, 4], [2, 5], [1]]),
+    (7, [[7]] * 6),
+    (8, [[7], [1, 6], [2, 5], [3, 4], [4, 3], [5, 2], [6]]),
+    (15, [[7], [7], [1, 6], [7], [2, 5], [7], [3, 4], [7], [4, 3], [7], [5, 2], [7], [6]]),
+    (2, [[2, 2, 2, 1], [1, 2, 2]]),
+])
 def test_sweep_blocks_change_no_byte(tmp_path, monkeypatch, capsys, repeat, blocks):
-    """A noisy sweep run in blocks of 7 repetitions writes the sweep.tsv and
-    stdout of one block per permutation: below, at and past one block, and past two."""
+    """A noisy sweep run in blocks of 7 rows of sweep.tsv, in file order,
+    writes the sweep.tsv and stdout of one block: with fewer, as many and more
+    repetitions than a block, more than two blocks', and a block over four
+    permutations. Each block is one normal_draws call, then one engine run
+    per permutation part of it (blocks lists their rows)."""
     argv = ["sweep", "--noise-sigma-deg", "5", "--repeat", str(repeat), "--seed", "1"]
     assert main([*argv, "--output-dir", str(tmp_path / "whole")]) in (0, 2)
     whole = capsys.readouterr().out
-    batches, experiment = [], cli.run_pulse_experiment
+    draws, engine_rows = [], []
+    normal_draws, engine = seeding.normal_draws, spin.run_pulse_batch
 
-    def counted(cfg, perm, key, reps):
-        batches.append(len(reps))
-        return experiment(cfg, perm, key, reps)
+    def drawn(entropy, *args):
+        draws.append(len(entropy))
+        return normal_draws(entropy, *args)
+
+    def run(rho0, events, flips):
+        engine_rows.append(len(flips))
+        return engine(rho0, events, flips)
 
     monkeypatch.setattr(cli, "SWEEP_BLOCK", 7)
-    monkeypatch.setattr(cli, "run_pulse_experiment", counted)
+    monkeypatch.setattr(seeding, "normal_draws", drawn)
+    monkeypatch.setattr(spin, "run_pulse_batch", run)
     assert main([*argv, "--output-dir", str(tmp_path / "blocks")]) in (0, 2)
     assert capsys.readouterr().out == whole
-    assert batches == blocks * 6
+    assert draws == [sum(block) for block in blocks]
+    assert engine_rows == [rows for block in blocks for rows in block]
     assert read(tmp_path / "blocks" / "sweep.tsv") == read(tmp_path / "whole" / "sweep.tsv")
 
 
@@ -774,6 +812,52 @@ def test_commands_do_not_import_scipy(tmp_path):
     for name in ("pulse/run_record.json", "gate/trace.json", "sweep/sweep.tsv",
                  "compile/F_sequence.json"):
         assert (tmp_path / name).is_file(), name
+
+
+def test_cli_import_and_a_noise_free_sweep_leave_out_json_configparser_and_seeding(tmp_path):
+    """In a fresh interpreter: json is loaded by the commands that write
+    JSON, configparser only under --config and seeding only with noise."""
+    script = (
+        "import sys\n"
+        "from qutrit_parity.cli import main\n"
+        "unused = ('json', 'configparser', 'qutrit_parity.seeding')\n"
+        "print([m for m in unused if m in sys.modules])\n"
+        f"main(['sweep', '--output-dir', {str(tmp_path)!r}])\n"
+        "print([m for m in unused if m in sys.modules])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=_package_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "accuracy 6/6 = 1.000", "[]"]
+
+
+def test_pulse_path_measures_no_gate(tmp_path, monkeypatch, capsys):
+    """run and sweep build each gate's events without measuring them: F's
+    frame is read once per process (one sequence_propagator call) and F
+    inverse inverts F's events. compile still measures its gate."""
+    def unmeasured(*args):
+        raise AssertionError("a pulse command measured a gate")
+
+    propagators, sequence_propagator = [], compiler.sequence_propagator
+
+    def counted(events):
+        propagators.append(len(events))
+        return sequence_propagator(events)
+
+    monkeypatch.setattr(compiler, "_measured", unmeasured)
+    monkeypatch.setattr(compiler, "sequence_propagator", counted)
+    compiler.gate_events.cache_clear()
+    compiler.compile_gate.cache_clear()
+    assert main(["run", "--output-dir", str(tmp_path / "run")]) == 0
+    assert propagators == [3]  # F's three pulses
+    assert main(["sweep", "--noise-sigma-deg", "5", "--repeat", "3",
+                 "--output-dir", str(tmp_path / "sweep")]) in (0, 2)
+    assert propagators == [3]
+    assert compiler.gate_events("Finv") == tuple(compiler.invert_events(compiler.gate_events("F")))
+    monkeypatch.undo()
+    capsys.readouterr()
+    assert main(["compile", "F", "--output-dir", str(tmp_path / "compile")]) == 0
+    assert capsys.readouterr().out.startswith("F: fidelity 1.000000000000, phase_exact True")
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",

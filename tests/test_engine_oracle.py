@@ -70,11 +70,12 @@ def _rows(sigma: float, repeat: int):
     permutation of `sweep --noise-sigma-deg sigma --repeat repeat --seed 1`;
     at sigma = 0 each row is the noise-free `run` of its permutation."""
     cfg = cli.RunConfig(pulse_angle_sigma_deg=sigma, seed=1)
-    for index, (name, perm) in enumerate(NAMED_MAPS.items()):
-        events = cli.build_pulse_program(perm) + spectro.detection_events(cfg.detection_flip_deg)
-        key, reps = [cfg.seed, index], range(repeat)
-        flips = cli._draw_flips(cfg, events, key, reps)
-        yield name, events, flips, cli.run_pulse_experiment(cfg, perm, key, reps)[1]
+    programs = [cli.build_pulse_program(perm) + spectro.detection_events(cfg.detection_flip_deg)
+                for perm in NAMED_MAPS.values()]
+    drawn = cli._draw_flips(cfg, [(events, [cfg.seed, index], range(repeat))
+                                  for index, events in enumerate(programs)])
+    for name, events, flips in zip(NAMED_MAPS, programs, drawn):
+        yield name, events, flips, spin.run_pulse_batch(spin.thermal_deviation(), events, flips)
 
 
 @pytest.mark.parametrize("sigma, repeat", [(0.0, 1), (5.0, 10), (20.0, 10)],

@@ -19,7 +19,8 @@ mpmath = pytest.importorskip("mpmath")
 from qutrit_parity import cli
 from qutrit_parity.core import DensityMatrix
 from qutrit_parity.permutations import NAMED_MAPS
-from qutrit_parity.spectro import read_out, spectrum
+from qutrit_parity.spectro import detection_events, read_out, spectrum
+from qutrit_parity.spin import run_pulse_batch, thermal_deviation
 
 EPS = np.finfo(float).eps
 
@@ -48,9 +49,12 @@ def _rows(sigma, repeat):
     `sweep --noise-sigma-deg sigma --repeat repeat --seed 1`; at sigma = 0
     each row is the noise-free `run` of its permutation."""
     cfg = cli.RunConfig(pulse_angle_sigma_deg=sigma, seed=1)
-    rows = [cli.run_pulse_experiment(cfg, perm, [1, k], range(repeat))[1]
-            for k, perm in enumerate(NAMED_MAPS.values())]
-    return cfg, np.concatenate(rows)
+    programs = [cli.build_pulse_program(perm) + detection_events(cfg.detection_flip_deg)
+                for perm in NAMED_MAPS.values()]
+    flips = cli._draw_flips(cfg, [(events, [1, k], range(repeat))
+                                  for k, events in enumerate(programs)])
+    return cfg, np.concatenate([run_pulse_batch(thermal_deviation(), events, f)
+                                for events, f in zip(programs, flips)])
 
 
 @pytest.mark.parametrize("sigma, repeat", [(0.0, 1), (5.0, 10), (20.0, 10)],

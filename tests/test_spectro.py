@@ -41,7 +41,9 @@ from qutrit_parity.spectro import (
 from qutrit_parity.spin import (
     HamiltonianParams,
     RelaxationParams,
+    run_pulse_batch,
     run_pulse_program,
+    thermal_deviation,
     transition_frequencies,
 )
 from row_readout import Peak, Readout, classify_spectrum, pick_peaks, read_spectrum
@@ -430,9 +432,12 @@ class TestInPlaceAcquisition:
 def _detected(repeat, sigma, **fields):
     """The config and the (6 * repeat, 3, 3) detected rows of a seeded noisy sweep."""
     cfg = cli.RunConfig(pulse_angle_sigma_deg=sigma, seed=1, **fields)
-    rows = [cli.run_pulse_experiment(cfg, perm, [1, k], range(repeat))[1]
-            for k, perm in enumerate(NAMED_MAPS.values())]
-    return cfg, np.concatenate(rows)
+    programs = [cli.build_pulse_program(perm) + detection_events(cfg.detection_flip_deg)
+                for perm in NAMED_MAPS.values()]
+    flips = cli._draw_flips(cfg, [(events, [1, k], range(repeat))
+                                  for k, events in enumerate(programs)])
+    return cfg, np.concatenate([run_pulse_batch(thermal_deviation(), events, f)
+                                for events, f in zip(programs, flips)])
 
 
 def _readouts(rhos, *acquisition):
@@ -497,10 +502,9 @@ class TestReadLines:
         """A detection flip clipped to 360 degrees is the identity, so what
         coherence its row holds is rounding noise, and it reads no signal."""
         cfg, rhos = _detected(20, 120.0, detection_flip_deg=330.0)
-        detection = np.concatenate([
-            cli._draw_flips(cfg, cli.build_pulse_program(perm) + detection_events(330.0),
-                            [1, k], range(20))[:, -1]
-            for k, perm in enumerate(NAMED_MAPS.values())])
+        detection = np.concatenate([flips[:, -1] for flips in cli._draw_flips(cfg, [
+            (cli.build_pulse_program(perm) + detection_events(330.0), [1, k], range(20))
+            for k, perm in enumerate(NAMED_MAPS.values())])])
         outcomes = [_outcome(r) for r in assert_batch_matches_rows(cfg, rhos)]
         silent = [k for k, o in enumerate(outcomes)
                   if o == ("0.0", "0.0", NO_SIGNAL, None)]
