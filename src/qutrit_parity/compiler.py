@@ -5,7 +5,10 @@ Bare 180-degree selective pulses realize swaps only up to a sub-block phase
 (-i on the driven block), so every compiled sequence carries virtual-z
 corrections that make the propagator phase-exact. The Fourier gate uses the
 three-pulse sequence (270)@23, (109.47)@12, (90)@23 whose diagonal frame
-corrections are read off in closed form at compile time.
+corrections are read off in closed form at compile time. A sequence's
+propagator is spin.sequence_propagator, the pulse engine's U after its events
+(spin._carry): F's frame corrections and compile_gate's achieved propagator
+are one engine run each.
 """
 
 from __future__ import annotations
@@ -18,15 +21,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import DIM, PHASE_TOL, Operator3
+from .core import DIM, PHASE_TOL
 from .permutations import FOURIER3, FOURIER3_INV, NAMED_MAPS, unitary_of
 from .spin import (
     BLANK_RECORD,
     Pulse,
     VirtualZ,
-    event_propagator,
     program_to_records,
     record_to_event,
+    sequence_propagator,
 )
 
 #: 109.47 degrees, stored exactly as the arccos rather than the decimal
@@ -58,15 +61,6 @@ class CompiledSequence(NamedTuple):
 def fidelity(target: np.ndarray, achieved: np.ndarray) -> float:
     """Global-phase-invariant gate fidelity |tr(U^dagger V)| / 3."""
     return float(abs(np.trace(np.asarray(target).conj().T @ np.asarray(achieved))) / DIM)
-
-
-def sequence_propagator(events) -> Operator3:
-    """Ordered product of event propagators, rightmost factor earliest, formed
-    by einsum rather than BLAS."""
-    u = np.eye(DIM, dtype=complex)
-    for event in events:
-        u = np.einsum("ij,jk->ik", event_propagator(event).entries, u)
-    return Operator3(u)
 
 
 def _measured(name: str, target: np.ndarray, events: tuple) -> CompiledSequence:

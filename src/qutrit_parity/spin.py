@@ -106,29 +106,19 @@ def transition_frequencies(p: HamiltonianParams) -> tuple[float, float]:
 def pulse_propagator(pl: Pulse) -> Operator3:
     """Selective: exp(-i flip/2 (cos phi X_pq + sin phi Y_pq)) on one
     sub-block; non-selective: exp(-i flip (cos phi Ix + sin phi Iy))."""
-    return Operator3(_pulse_matrices(pl.target, [pl.flip_deg], pl.phase_deg)[0])
+    return sequence_propagator([pl])
 
 
-def _pulse_matrices(target: str, flips_deg, phase_deg: float) -> np.ndarray:
-    """pulse_propagator's matrix for each flip angle, (R, 3, 3), unchecked: the
-    engine's U after that one pulse."""
-    flips = np.asarray(flips_deg, dtype=float)[:, None]
-    u, _ = _carry([Pulse(target, 360.0, phase_deg)], flips, None)
-    out = np.empty((len(flips), 3, 3), dtype=complex)
-    out.real, out.imag = u.transpose(1, 3, 0, 2)
-    return out
-
-
-def event_propagator(event: Event) -> Operator3:
-    if isinstance(event, Pulse):
-        return pulse_propagator(event)
-    if isinstance(event, VirtualZ):
-        phases = np.ones(3, dtype=complex)
-        phases[event.level - 1] = np.exp(1j * math.radians(event.angle_deg))
-        return Operator3(np.diag(phases))
-    if isinstance(event, GradientEvent):
-        raise ValueError("a gradient is not unitary and has no propagator")
-    raise TypeError(f"unknown event {event!r}")
+def sequence_propagator(events) -> Operator3:
+    """Ordered product of the events' unitaries, rightmost factor earliest: the
+    engine's U after them (_carry), checked once."""
+    events = list(events)
+    for event in events:
+        if isinstance(event, GradientEvent):
+            raise ValueError("a gradient is not unitary and has no propagator")
+        if not isinstance(event, Pulse | VirtualZ):
+            raise TypeError(f"unknown event {event!r}")
+    return Operator3(_unitaries(events, pulse_flips(events)[None])[0])
 
 
 def thermal_deviation() -> DensityMatrix:
@@ -212,6 +202,15 @@ def _carry(events, flips: np.ndarray, m):
             np.add(block, t1, out=block)
         one = False
     return None if one else u, m
+
+
+def _unitaries(events, flips: np.ndarray) -> np.ndarray:
+    """_carry's U after events without a crusher, for each row of flips, as
+    (R, 3, 3) complex matrices, unchecked."""
+    u, _ = _carry(events, flips, None)
+    out = np.empty((len(flips), 3, 3), dtype=complex)
+    out.real, out.imag = (_ONE if u is None else u).transpose(1, 3, 0, 2)
+    return out
 
 
 def _wigner(w: np.ndarray, ct, st, phi: float):

@@ -99,6 +99,20 @@ def test_run_exit_2_names_why_and_writes_nothing(tmp_path, capsys, monkeypatch, 
     assert not list(tmp_path.iterdir())
 
 
+def test_run_exit_2_keeps_the_last_successful_runs_files(tmp_path, capsys):
+    """An unclassifiable run writes nothing over a directory that holds a
+    classified run's files: they stay, byte for byte."""
+    assert main(["run", "--permutation", "f4", "--output-dir", str(tmp_path)]) == 0
+    before = {p.name: read(p) for p in tmp_path.iterdir()}
+    assert sorted(before) == ["fid.txt", "pulse_program.json", "readout.json",
+                              "run_record.json", "spectrum.txt"]
+    capsys.readouterr()
+    assert main(["run", "--permutation", "f1", "--detection-flip-deg", "360",
+                 "--output-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "unclassifiable: spectrum has no signal\n"
+    assert {p.name: read(p) for p in tmp_path.iterdir()} == before
+
+
 @pytest.mark.parametrize("name", ["f1", "f2", "f3"])
 def test_even_runs_turn_unclassifiable_between_34_6_and_34_7_degrees(tmp_path, capsys, name):
     """A noise-free even run's minor line is tan^2(flip / 2) of its major one in

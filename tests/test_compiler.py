@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qutrit_parity import compiler
+from qutrit_parity import compiler, spin
 from qutrit_parity.compiler import (
     GATE_NAMES,
     GATE_TARGETS,
@@ -115,6 +115,16 @@ class TestSequencePropagator:
     def test_gradient_rejected(self):
         with pytest.raises(ValueError):
             sequence_propagator([GradientEvent()])
+
+    def test_compiling_f_runs_the_engine_once_per_propagator(self, monkeypatch):
+        """F's frame corrections and its measurement are one engine run each,
+        not one per pulse."""
+        calls, carry = [], spin._carry
+        monkeypatch.setattr(spin, "_carry", lambda *args: calls.append(1) or carry(*args))
+        compiler.gate_events.cache_clear()
+        compiler.compile_gate.cache_clear()
+        compile_gate("F")
+        assert len(calls) == 2
 
 
 def separate_measurement(seq):

@@ -10,15 +10,13 @@ a phase on one level and a crusher the diagonal. It shares no arithmetic with
 the package, so it judges the engine's rounding, not just its physics.
 """
 
-import math
-
 import numpy as np
 import pytest
 
 mpmath = pytest.importorskip("mpmath")
 
-from qutrit_parity import cli, spectro, spin
-from qutrit_parity.permutations import NAMED_MAPS
+from qutrit_parity import cli, spin
+from seeded_sweep import seeded_sweep
 
 EPS = np.finfo(float).eps
 
@@ -65,26 +63,13 @@ def _oracle(events, flips) -> mpmath.matrix:
     return rho
 
 
-def _rows(sigma: float, repeat: int):
-    """(permutation, events, flips (repeat, K), engine rows (repeat, 3, 3)) of each
-    permutation of `sweep --noise-sigma-deg sigma --repeat repeat --seed 1`;
-    at sigma = 0 each row is the noise-free `run` of its permutation."""
-    cfg = cli.RunConfig(pulse_angle_sigma_deg=sigma, seed=1)
-    programs = [cli.build_pulse_program(perm) + spectro.detection_events(cfg.detection_flip_deg)
-                for perm in NAMED_MAPS.values()]
-    drawn = cli._draw_flips(cfg, [(events, [cfg.seed, index], range(repeat))
-                                  for index, events in enumerate(programs)])
-    for name, events, flips in zip(NAMED_MAPS, programs, drawn):
-        yield name, events, flips, spin.run_pulse_batch(spin.thermal_deviation(), events, flips)
-
-
 @pytest.mark.parametrize("sigma, repeat", [(0.0, 1), (5.0, 10), (20.0, 10)],
                          ids=["noise-free", "sigma-5", "sigma-20"])
 def test_coherences_match_the_50_digit_pipeline(sigma, repeat):
     """Each detected row's c12 and c23 lie within BOUND_EPS eps of the row's
     largest entry of the oracle's."""
     with mpmath.workdps(50):
-        for name, events, flips, rows in _rows(sigma, repeat):
+        for name, events, flips, rows in seeded_sweep(sigma, repeat).runs:
             for row_flips, rho in zip(flips.tolist(), rows):
                 truth = _oracle(events, row_flips)
                 scale = max(abs(truth[j, k]) for j in range(3) for k in range(3))
@@ -99,7 +84,7 @@ def test_even_rows_read_tan_squared_of_half_the_detection_flip():
     within 4 eps of the oracle's (measured: 1.2)."""
     with mpmath.workdps(50):
         law = mpmath.tan(_radians(cli.RunConfig().detection_flip_deg) / 2) ** 2
-        for name, events, flips, rows in _rows(0.0, 1):
+        for name, events, flips, rows in seeded_sweep(0.0, 1).runs:
             if name not in ("f1", "f2", "f3"):
                 continue
             truth = _oracle(events, flips[0].tolist())

@@ -16,11 +16,9 @@ import pytest
 
 mpmath = pytest.importorskip("mpmath")
 
-from qutrit_parity import cli
 from qutrit_parity.core import DensityMatrix
-from qutrit_parity.permutations import NAMED_MAPS
-from qutrit_parity.spectro import detection_events, read_out, spectrum
-from qutrit_parity.spin import run_pulse_batch, thermal_deviation
+from qutrit_parity.spectro import read_out, spectrum
+from seeded_sweep import seeded_sweep
 
 EPS = np.finfo(float).eps
 
@@ -44,26 +42,13 @@ def _reference_line(cfg, c12, c23, j):
         return total.real
 
 
-def _rows(sigma, repeat):
-    """(config, detected (6 * repeat, 3, 3) rows) of
-    `sweep --noise-sigma-deg sigma --repeat repeat --seed 1`; at sigma = 0
-    each row is the noise-free `run` of its permutation."""
-    cfg = cli.RunConfig(pulse_angle_sigma_deg=sigma, seed=1)
-    programs = [cli.build_pulse_program(perm) + detection_events(cfg.detection_flip_deg)
-                for perm in NAMED_MAPS.values()]
-    flips = cli._draw_flips(cfg, [(events, [1, k], range(repeat))
-                                  for k, events in enumerate(programs)])
-    return cfg, np.concatenate([run_pulse_batch(thermal_deviation(), events, f)
-                                for events, f in zip(programs, flips)])
-
-
 @pytest.mark.parametrize("sigma, repeat", [(0.0, 1), (5.0, 10), (20.0, 10)],
                          ids=["noise-free", "sigma-5", "sigma-20"])
 def test_lines_match_the_closed_form_spectrum(sigma, repeat):
     """Each nonzero line that read_out reports is the spectrum's value at one
     bin, and lies within BOUND_EPS eps of the row's larger line of the 50-digit
     value at that bin."""
-    cfg, rhos = _rows(sigma, repeat)
+    cfg, rhos, _ = seeded_sweep(sigma, repeat)
     acquisition = cfg.hamiltonian(), cfg.relaxation(), cfg.n, cfg.dwell_s
     checked = 0
     line12, line23, _, _ = read_out(rhos, *acquisition)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from qutrit_parity import cli, spectro
 from qutrit_parity.core import ENTRY_TOL, DensityMatrix
-from qutrit_parity.permutations import NAMED_MAPS
 from qutrit_parity.spectro import (
     CHUNK_BYTES,
     DEFAULT_DWELL,
@@ -41,12 +40,11 @@ from qutrit_parity.spectro import (
 from qutrit_parity.spin import (
     HamiltonianParams,
     RelaxationParams,
-    run_pulse_batch,
     run_pulse_program,
-    thermal_deviation,
     transition_frequencies,
 )
 from row_readout import Peak, Readout, classify_spectrum, pick_peaks, read_spectrum
+from seeded_sweep import seeded_sweep
 
 EPS = np.finfo(float).eps
 PARAMS = HamiltonianParams(lambda_q=2 * np.pi * 156.0)
@@ -127,7 +125,7 @@ def test_spectrum_is_the_transform_of_the_fid(n, repeat):
     FFT of synthesize_fid(rho) in every bin, real and imaginary parts, within
     4 eps of the row's top |Re| (measured: at most 2.1 eps), on the same axis.
     The detected rows' coherences are real; one more row has complex ones."""
-    cfg, rhos = _detected(repeat, 20.0, n=n)
+    cfg, rhos, _ = seeded_sweep(20.0, repeat, n=n)
     rhos = np.concatenate([rhos, single_coherence(c23=0.3 - 0.7j, c12=0.2j).entries[None]])
     acquisition = cfg.hamiltonian(), cfg.relaxation(), n, cfg.dwell_s
     for k, rho in enumerate(rhos):
@@ -429,17 +427,6 @@ class TestInPlaceAcquisition:
         assert _traced_peak(text, data) <= 2.5 * len(text(data))
 
 
-def _detected(repeat, sigma, **fields):
-    """The config and the (6 * repeat, 3, 3) detected rows of a seeded noisy sweep."""
-    cfg = cli.RunConfig(pulse_angle_sigma_deg=sigma, seed=1, **fields)
-    programs = [cli.build_pulse_program(perm) + detection_events(cfg.detection_flip_deg)
-                for perm in NAMED_MAPS.values()]
-    flips = cli._draw_flips(cfg, [(events, [1, k], range(repeat))
-                                  for k, events in enumerate(programs)])
-    return cfg, np.concatenate([run_pulse_batch(thermal_deviation(), events, f)
-                                for events, f in zip(programs, flips)])
-
-
 def _readouts(rhos, *acquisition):
     """read_out's columns for rhos, as one Readout per row."""
     return [Readout(*row) for row in zip(*(c.tolist() for c in read_out(rhos, *acquisition)))]
@@ -471,25 +458,25 @@ class TestReadLines:
     """The batch readout is the spectrum path, line for line and verdict for verdict."""
 
     def test_noisy_sweep_stack(self):
-        cfg, rhos = _detected(200, 20.0)
+        cfg, rhos, _ = seeded_sweep(20.0, 200)
         codes = [r.code for r in assert_batch_matches_rows(cfg, rhos)]
         assert EVEN in codes and ODD in codes
         assert set(codes) - {EVEN, ODD}  # and unclassifiable rows
 
     def test_scrambled_by_heavy_noise(self):
-        assert_batch_matches_rows(*_detected(30, 90.0))
+        assert_batch_matches_rows(*seeded_sweep(90.0, 30)[:2])
 
     @pytest.mark.parametrize("lambda_q_hz", [3.0, 0.1])  # 0.1: the window is clamped to 1 Hz
     def test_overlapping_lines(self, lambda_q_hz):
-        assert_batch_matches_rows(*_detected(20, 5.0, lambda_q_hz=lambda_q_hz))
+        assert_batch_matches_rows(*seeded_sweep(5.0, 20, lambda_q_hz=lambda_q_hz)[:2])
 
     def test_long_acquisition(self):
-        cfg, rhos = _detected(4, 5.0, n=65536)
+        cfg, rhos, _ = seeded_sweep(5.0, 4, n=65536)
         assert_batch_matches_rows(cfg, rhos)
 
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_minimal_acquisitions_reach_the_edge_bins(self, n):
-        cfg, rhos = _detected(20, 30.0, n=n)
+        cfg, rhos, _ = seeded_sweep(30.0, 20, n=n)
         readouts = assert_batch_matches_rows(cfg, rhos)
         if n == 2:  # no bin lies between the two edge bins
             assert {r.code for r in readouts} == {NO_PEAKS}
@@ -501,10 +488,8 @@ class TestReadLines:
     def test_rounding_level_coherences_have_no_signal(self):
         """A detection flip clipped to 360 degrees is the identity, so what
         coherence its row holds is rounding noise, and it reads no signal."""
-        cfg, rhos = _detected(20, 120.0, detection_flip_deg=330.0)
-        detection = np.concatenate([flips[:, -1] for flips in cli._draw_flips(cfg, [
-            (cli.build_pulse_program(perm) + detection_events(330.0), [1, k], range(20))
-            for k, perm in enumerate(NAMED_MAPS.values())])])
+        cfg, rhos, runs = seeded_sweep(120.0, 20, detection_flip_deg=330.0)
+        detection = np.concatenate([flips[:, -1] for _, _, flips, _ in runs])
         outcomes = [_outcome(r) for r in assert_batch_matches_rows(cfg, rhos)]
         silent = [k for k, o in enumerate(outcomes)
                   if o == ("0.0", "0.0", NO_SIGNAL, None)]
@@ -523,7 +508,7 @@ class TestReadLines:
         assert 1 < per_chunk
         count = {"one": 1, "chunk - 1": per_chunk - 1, "chunk": per_chunk,
                  "chunk + 1": per_chunk + 1}[rows]
-        cfg, rhos = _detected(-(-count // 6), 20.0)
+        cfg, rhos, _ = seeded_sweep(20.0, -(-count // 6))
         assert len(rhos) >= count
         assert_batch_matches_rows(cfg, rhos[:count])
 
@@ -586,7 +571,7 @@ class TestWholeRows:
         """No row is built whole. At n = 65536 the far bound reaches the 10%
         floor in some rows (the odd permutations'), so there the lines, not
         the floor, settle them."""
-        cfg, rhos = _detected(20 if n == DEFAULT_POINTS else 4, sigma, n=n)
+        cfg, rhos, _ = seeded_sweep(sigma, 20 if n == DEFAULT_POINTS else 4, n=n)
         readouts, whole = _read_out_counting(cfg, rhos, monkeypatch)
         assert whole == []
         assert [_outcome(r) for r in readouts] == [_outcome(_row_path(rho, cfg)) for rho in rhos]
@@ -625,7 +610,7 @@ class TestWholeRows:
     def test_short_t2_rows_are_built_whole_and_read_as_the_row_path(self, monkeypatch):
         """At T2 = 0.5 ms each line's half-width is ~320 Hz, so the bins outside the
         spans outweigh the bins inside them and every row is built whole."""
-        cfg, rhos = _detected(50, 5.0, t2_s=0.0005, t1_s=0.01)
+        cfg, rhos, _ = seeded_sweep(5.0, 50, t2_s=0.0005, t1_s=0.01)
         readouts, whole = _read_out_counting(cfg, rhos, monkeypatch)
         assert whole == list(range(len(rhos)))
         assert [_outcome(r) for r in readouts] == [_outcome(_row_path(rho, cfg)) for rho in rhos]
@@ -637,7 +622,7 @@ class TestWholeRows:
         every row reads out as the row path does, line bits included."""
         fields = {"n = 4096": {}, "n = 65536": {"n": 65536},
                   "short T2": {"t2_s": 0.0005, "t1_s": 0.01}}[stack]
-        cfg, rhos = _detected(4 if fields.get("n") else 20, 5.0, **fields)
+        cfg, rhos, _ = seeded_sweep(5.0, 4 if fields.get("n") else 20, **fields)
         reference = [_outcome(_row_path(rho, cfg)) for rho in rhos]
         counts = {}
         for half_widths in (0.0, spectro.SPAN_HALF_WIDTHS, np.inf):

@@ -20,7 +20,6 @@ from qutrit_parity.spin import (
     Pulse,
     RelaxationParams,
     VirtualZ,
-    event_propagator,
     program_to_records,
     pseudopure_prep_events,
     pulse_flips,
@@ -28,6 +27,7 @@ from qutrit_parity.spin import (
     records_to_program,
     run_pulse_batch,
     run_pulse_program,
+    sequence_propagator,
     thermal_deviation,
     transition_frequencies,
     with_flips,
@@ -245,13 +245,19 @@ class TestRelaxationParams:
 
 
 class TestEventPropagator:
+    """One event's propagator, sequence_propagator([event])."""
+
     def test_gradient_has_no_propagator(self):
         with pytest.raises(ValueError):
-            event_propagator(GradientEvent())
+            sequence_propagator([GradientEvent()])
 
     def test_virtualz_diagonal(self):
-        u = event_propagator(VirtualZ(2, 90.0)).entries
+        u = sequence_propagator([VirtualZ(2, 90.0)]).entries
         assert np.allclose(u, np.diag([1, 1j, 1]), atol=1e-14)
+
+    def test_unknown_event_rejected(self):
+        with pytest.raises(TypeError, match="unknown event <object"):
+            sequence_propagator([object()])
 
 
 def reference_run(rho0, events):
@@ -262,7 +268,7 @@ def reference_run(rho0, events):
         if isinstance(event, GradientEvent):
             rho = DensityMatrix(np.diag(np.diag(rho.entries)), rho.kind)
         else:
-            u = event_propagator(event).entries
+            u = sequence_propagator([event]).entries
             rho = DensityMatrix(u @ rho.entries @ u.conj().T, rho.kind)
     return rho
 
@@ -278,9 +284,10 @@ def random_event(rng):
 
 
 #: the engine's largest error against reference_run, in eps of rho0's largest
-#: entry (measured: 2.8). That entry bounds every later one, as a unitary keeps
-#: the norm and a crusher lowers it, so it stays the scale of the rounding
-#: where a crusher leaves a row near zero; a row's own largest entry does not.
+#: entry (measured: 2.5 from the thermal deviation, 3.8 from the coherent
+#: one). That entry bounds every later one, as a unitary keeps the norm and a
+#: crusher lowers it, so it stays the scale of the rounding where a crusher
+#: leaves a row near zero; a row's own largest entry does not.
 REFERENCE_EPS = 4
 
 
@@ -291,16 +298,27 @@ def assert_near_reference(got: np.ndarray, rho0: DensityMatrix, events):
     assert error <= REFERENCE_EPS, (error, events)
 
 
+def coherent_deviation() -> DensityMatrix:
+    """A seeded traceless Hermitian deviation with every coherence nonzero."""
+    rng = np.random.default_rng(2016)
+    m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    m = m + m.conj().T
+    return DensityMatrix(m - np.trace(m) / 3 * np.eye(3), "deviation")
+
+
 class TestRunPulseProgramContract:
-    def test_within_a_few_eps_of_the_validating_loop(self):
+    @pytest.mark.parametrize("rho0", [thermal_deviation(), coherent_deviation()],
+                             ids=["thermal", "coherent"])
+    def test_within_a_few_eps_of_the_validating_loop(self, rho0):
         """The engine against the u rho u^dagger loop of DensityMatrix and
-        Operator3 checks: different arithmetic, the same states."""
+        Operator3 checks: different arithmetic, the same states. A coherent
+        rho0 meets its first pulse as a matrix, not a diagonal."""
         rng = np.random.default_rng(2014)
         for _ in range(200):
             events = [random_event(rng) for _ in range(rng.integers(1, 25))]
-            got = run_pulse_program(thermal_deviation(), events)
+            got = run_pulse_program(rho0, events)
             assert got.kind == "deviation"
-            assert_near_reference(got.entries, thermal_deviation(), events)
+            assert_near_reference(got.entries, rho0, events)
 
 
 class TestRunPulseBatch:
@@ -381,6 +399,6 @@ def test_every_finite_flip_gives_a_unitary_closed_form():
                             magnitudes * rng.choice([-1.0, 1.0], magnitudes.size)])
     for target in TARGETS:
         for phase in (0.0, 90.0, 137.5, 359.9):
-            u = spin._pulse_matrices(target, flips, phase)
+            u = spin._unitaries([Pulse(target, 360.0, phase)], flips[:, None])
             dev = np.max(np.abs(u @ u.conj().swapaxes(1, 2) - np.eye(3)), axis=(1, 2))
             assert dev.max() <= ENTRY_TOL, (target, phase, flips[dev.argmax()])
