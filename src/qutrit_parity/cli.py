@@ -85,6 +85,8 @@ class RunConfig:
             raise ConfigError(f"n must be at most 2**20, got {self.n}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if not self.output_dir:
+            raise ConfigError("output_dir must not be empty")
         if not 0.0 <= (sigma := self.pulse_angle_sigma_deg) <= 360.0:  # a turn at most
             raise ConfigError(f"pulse_angle_sigma_deg = {sigma} is outside [0, 360]")
         try:
@@ -351,11 +353,9 @@ def main(argv=None) -> int:
             return cmd_compile(args.gate, cfg.output_dir)
         if args.command == "run":
             return cmd_run(cfg)
-        if args.command == "sweep":
-            if not 1 <= args.repeat <= MAX_REPEAT:
-                raise ConfigError(f"--repeat must be in [1, {MAX_REPEAT}], got {args.repeat}")
-            return cmd_sweep(cfg, args.repeat)
-        raise ConfigError(f"unknown command {args.command!r}")
+        if not 1 <= args.repeat <= MAX_REPEAT:  # sweep: argparse takes no other command
+            raise ConfigError(f"--repeat must be in [1, {MAX_REPEAT}], got {args.repeat}")
+        return cmd_sweep(cfg, args.repeat)
     except (ConfigError, CauchyParseError, compiler.UnknownGateError,
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -36,8 +36,8 @@ DEFAULT_DWELL = 1.0 / 4000.0
 #: 10% single-line dominance rule (even parity) reads it too, as the two must match
 PEAK_THRESHOLD = 0.1
 
-#: read_out builds the spans of its rows in chunks of at most this many bytes
-#: for all spans (one row at least). A row it must build whole takes n
+#: read_out builds its rows' near-line bins in chunks of at most this many
+#: bytes (one row at least). A row it must build whole takes n
 #: doubles, in chunks of the same size: 16 rows at n = 4096, one from n = 65536.
 CHUNK_BYTES = 512 * 1024
 
@@ -166,31 +166,30 @@ def _basis(nu12: float, nu23: float, t2: float, n: int, dwell: float):
 
 @functools.lru_cache(maxsize=4)
 def _near_lines(nu12: float, nu23: float, t2: float, n: int, dwell: float):
-    """The bins read_out builds for one acquisition: (window, dnu, spans, far).
+    """The bins read_out builds for one acquisition: (window, dnu, near, far).
 
     A peak's vertex lies within half a bin of its bin, so only the bins within
     window + 2 dnu of a line, less the two edge bins, can hold that line.
     read_out tests for peaks the bins within reach + 2 dnu of either line,
-    reach = min(window, SPAN_HALF_WIDTHS / (2 pi T2)), less the edge bins.
-    Each run of them, runs one bin apart merged, is a span: (the axis at its
-    tested bins, read-only views of the four _basis arrays over those bins
-    and one neighbour on each side), in ascending bin order. far holds max
-    |P12|, |Q12|, |P23|, |Q23| over the bins no span tests, or 0.0 where
-    there are none.
+    reach = min(window, SPAN_HALF_WIDTHS / (2 pi T2)), less the edge bins,
+    and any bin between two tested ones. near = (axis, centre, parts) holds
+    every tested bin and its two neighbours, in ascending order: their axis,
+    the mask of the tested ones among all but the first and last, and
+    read-only copies of the four _basis arrays over them. far holds max |P12|,
+    |Q12|, |P23|, |Q23| over the untested bins, or 0.0 where there are none.
     """
     basis = _basis(nu12, nu23, t2, n, dwell)
     freqs = _frequency_axis(n, dwell)
     window, dnu = _line_window(nu12, nu23), float(freqs[1] - freqs[0])
     reach = min(window, SPAN_HALF_WIDTHS / (2.0 * np.pi * t2))
-    near = reach + 2.0 * dnu
-    tested = (np.abs(freqs - nu12) <= near) | (np.abs(freqs - nu23) <= near)
+    radius = reach + 2.0 * dnu
+    tested = (np.abs(freqs - nu12) <= radius) | (np.abs(freqs - nu23) <= radius)
     tested[[0, -1]] = False  # an edge bin is never a peak
     tested[1:-1] |= tested[:-2] & tested[2:]
-    edges = np.flatnonzero(np.diff(tested, prepend=False, append=False))
-    spans = tuple((freqs[a:b], tuple(x[a - 1:b + 1] for x in basis))
-                  for a, b in zip(edges[::2].tolist(), edges[1::2].tolist()))
+    kept = tested | np.roll(tested, 1) | np.roll(tested, -1)  # no edge bin is tested
+    axis, centre, *parts = (_frozen(x[kept]) for x in (freqs, tested, *basis))
     far = tuple(float(np.max(np.abs(x), where=~tested, initial=0.0)) for x in basis)
-    return window, dnu, spans, far
+    return window, dnu, (axis, centre[1:-1], tuple(parts)), far
 
 
 def _combine(x12, y12, x23, y23, basis, out: np.ndarray) -> np.ndarray:
@@ -283,79 +282,72 @@ def read_out(rhos: np.ndarray, p: HamiltonianParams, r: RelaxationParams,
     of nu12 and nu23, or 0.0, and the code and confidence are classify_lines'
     on them; an all-zero spectrum is NO_SIGNAL, and one with no peak NO_PEAKS.
 
-    Re is built, a chunk of rows at a time, only over the spans of
-    _near_lines, and the spans' peaks are read (_read_peaks). For c = x + iy,
-    the bound B = ((|x12| F_P12 + |y12| F_Q12) + |x23| F_P23) + |y23| F_Q23
-    (_far_bound) over the maxima F of the basis arrays on the bins no span
-    tests bounds the computed |Re| of each of those bins exactly. So a row's
-    reading is its whole spectrum's when B is at most its top, and either B
-    is below the 10% floor (no bin outside the spans peaks) or a span peaks
-    and both lines' |Re| exceed B (no bin outside the spans outweighs them).
-    Every other row is built over all n bins and read by the same _read_peaks.
+    Re is built, a chunk of rows at a time, only over the near-line bins of
+    _near_lines, and their peaks are read (_read_peaks). For c = x + iy, the
+    bound B = ((|x12| F_P12 + |y12| F_Q12) + |x23| F_P23) + |y23| F_Q23
+    (_far_bound) over the maxima F of the basis arrays on the untested bins
+    bounds the computed |Re| of each of those bins exactly. So a row's
+    reading is its whole spectrum's when B < PEAK_THRESHOLD * top (no
+    untested bin peaks) or both lines' |Re| exceed B (no untested bin
+    outweighs them; both are then peaks, and B < top, as a line is the Re of
+    a near bin). Every other row is built over all n bins and read by the
+    same _read_peaks.
     """
     nu12, nu23 = check_acquisition(p, r, n, dwell)
-    basis = _basis(nu12, nu23, r.t2, n, dwell)
-    window, dnu, spans, far = _near_lines(nu12, nu23, r.t2, n, dwell)
+    window, dnu, (axis, centre, parts), far = _near_lines(nu12, nu23, r.t2, n, dwell)
     total = len(rhos)
     lines, top = np.zeros((2, total)), np.zeros(total)  # line12, line23
     found, settled = np.zeros(total, bool), np.zeros(total, bool)
     c12, c23 = _coherences(rhos)
     coefs = c12.real, c12.imag, c23.real, c23.imag
     read = functools.partial(_read_peaks, (nu12, nu23), window, dnu)
-    for i, x, signed in _build(np.arange(total), coefs, spans):
-        lines[:, i], top[i], found[i] = read(len(i), signed)
+    for i, x, re in _build(np.arange(total), coefs, parts):
+        lines[:, i], top[i], found[i] = read(axis, centre, re)
         bound = _far_bound(*x, far)
-        lines_above = (np.abs(lines[:, i]) > bound).all(axis=0)
-        settled[i] = (bound <= top[i]) & ((bound < PEAK_THRESHOLD * top[i])
-                                          | (found[i] & lines_above))
-    axis = _frequency_axis(n, dwell)[1:-1]
-    for i, _, signed in _build(np.flatnonzero(~settled), coefs, [(axis, basis)]):
-        lines[:, i], top[i], found[i] = read(len(i), signed)
+        settled[i] = ((bound < PEAK_THRESHOLD * top[i])
+                      | (np.abs(lines[:, i]) > bound).all(axis=0))
+    axis, basis = _frequency_axis(n, dwell), _basis(nu12, nu23, r.t2, n, dwell)
+    for i, _, re in _build(np.flatnonzero(~settled), coefs, basis):
+        lines[:, i], top[i], found[i] = read(axis, True, re)
     code, confidence = classify_lines(*lines)
     code[~found] = np.where(top[~found] > 0.0, NO_PEAKS, NO_SIGNAL)
     return lines[0], lines[1], confidence, code
 
 
-def _build(rows: np.ndarray, coefs, spans):
-    """(some of rows, their coefficient columns, [(axis, Re over the span)])
-    for the given rows of coefs = (x12, y12, x23, y23) and each span (axis,
-    basis views) of _near_lines' form, CHUNK_BYTES at a time (one row at least)."""
-    width = sum(len(views[0]) for _, views in spans)
-    step = max(1, CHUNK_BYTES // (8 * max(width, 1)))
-    bufs = [np.empty((min(step, len(rows)), len(views[0]))) for _, views in spans]
+def _build(rows: np.ndarray, coefs, parts):
+    """(some of rows, their coefficient columns, their Re over the bins of
+    parts, the four basis arrays over some bins) for the given rows of coefs =
+    (x12, y12, x23, y23), in one buffer, CHUNK_BYTES (one row at least) at a time."""
+    step = max(1, CHUNK_BYTES // (8 * max(len(parts[0]), 1)))
+    buf = np.empty((min(step, len(rows)), len(parts[0])))
     for start in range(0, len(rows), step):
         i = rows[start:start + step]
         x = [c[i] for c in coefs]
-        yield i, x, [(axis, _combine(*x, views, buf[:len(i)]))
-                     for (axis, views), buf in zip(spans, bufs)]
+        yield i, x, _combine(*x, parts, buf[:len(i)])
 
 
-def _read_peaks(nus, window: float, dnu: float, k: int, signed):
-    """(lines, top, found) of k rows built over the spans signed = [(axis, Re)]:
-    the top |Re| over the spans, whether any tested bin peaks (the floor is
-    PEAK_THRESHOLD times the top), and the (2, k) Re of the largest-|Re| peak
-    of any span within window of each line of nus, the lowest if tied, or 0.0."""
-    top = np.zeros(k)
-    for _, re in signed:
-        np.maximum(top, np.maximum(re.max(axis=1), -re.min(axis=1)), out=top)
+def _read_peaks(nus, window: float, dnu: float, axis, centre, re):
+    """(lines, top, found) of the rows of re, their Re over the ascending axis:
+    each row's top |Re|, whether a bin that centre (a mask over all bins but
+    the first and last, or True) tests peaks over the floor PEAK_THRESHOLD *
+    top, and the (2, rows) Re of the largest-|Re| such peak within window of
+    each line of nus, the lowest if tied, or 0.0."""
+    mag = np.abs(re)
+    top = mag.max(axis=1, initial=0.0)
     floor = (PEAK_THRESHOLD * top)[:, None]
-    lines, found = np.zeros((2, k)), np.zeros(k, bool)
-    for axis, re in signed:
-        mag = np.abs(re)
-        at = np.flatnonzero(_is_peak(mag[:, :-2], mag[:, 1:-1], mag[:, 2:], floor))
-        row, col = np.divmod(at, mag.shape[1] - 2)
-        found[row] = True
-        at += 2 * row + 1  # each peak's flat index into mag and re
-        m = mag.ravel()
-        freq = axis[col] + _vertex(m[at - 1], m[at], m[at + 1]) * dnu
-        order = np.lexsort((-m[at], row))  # stable: by row, then by falling |Re|, then by bin
-        row, at, freq = row[order], at[order], freq[order]
-        for line, nu in zip(lines, nus):
-            inside = np.abs(freq - nu) <= window
-            near, best = row[inside], np.zeros(k)
-            best[near] = re.ravel()[at[inside][np.searchsorted(near, near)]]
-            # a peak's |Re| is > 0, so 0.0 is no peak; a tie keeps the lower span's
-            np.copyto(line, best, where=np.abs(best) > np.abs(line))
+    at = np.flatnonzero(_is_peak(mag[:, :-2], mag[:, 1:-1], mag[:, 2:], floor) & centre)
+    row, col = np.divmod(at, mag.shape[1] - 2)
+    found = np.bincount(row, minlength=len(re)) > 0
+    at += 2 * row + 1  # each peak's flat index into mag and re
+    m = mag.ravel()
+    freq = axis[col + 1] + _vertex(m[at - 1], m[at], m[at + 1]) * dnu
+    order = np.lexsort((-m[at], row))  # stable: by row, then by falling |Re|, then by bin
+    row, at, freq = row[order], at[order], freq[order]
+    lines = np.zeros((2, len(re)))
+    for line, nu in zip(lines, nus):
+        inside = np.abs(freq - nu) <= window
+        near = row[inside]
+        line[near] = re.ravel()[at[inside][np.searchsorted(near, near)]]
     return lines, top, found
 
 

@@ -136,9 +136,11 @@ class TestErrors:
     def test_unknown_gate_exit_1(self, tmp_path):
         assert main(["compile", "Q9", "--output-dir", str(tmp_path)]) == 1
 
-    def test_usage_error_exit_1(self):
+    @pytest.mark.parametrize("argv", [["run", "--mode", "sideways"], ["bogus"], []],
+                             ids=["bad-mode", "unknown-command", "no-command"])
+    def test_usage_error_exit_1(self, argv):
         with pytest.raises(SystemExit) as exc:
-            main(["run", "--mode", "sideways"])
+            main(argv)
         assert exc.value.code == 1
 
 
@@ -285,6 +287,32 @@ class TestInputContract:
         assert capsys.readouterr().err == (
             f"error: --repeat must be in [1, 100000], got {repeat}\n")
         assert not (tmp_path / "sweep.tsv").exists()
+
+    @pytest.mark.parametrize("command, source", [
+        ("run", "flag"), ("run", "env"), ("run", "ini"), ("sweep", "flag")])
+    def test_empty_output_dir_exit_1_before_any_run(self, tmp_path, capsys,
+                                                    monkeypatch, command, source):
+        def unreachable(*args):
+            raise AssertionError("a run started before output_dir was checked")
+
+        monkeypatch.setattr(spin, "run_pulse_batch", unreachable)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv(ENV_OUTPUT_DIR, "" if source == "env" else ".")
+        argv = [command]
+        if source == "flag":
+            argv += ["--output-dir", ""]
+        if source == "ini":
+            Path("cfg.ini").write_text("[run]\noutput_dir =\n")
+            argv += ["--config", "cfg.ini"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: output_dir must not be empty\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == (["cfg.ini"] if source == "ini" else [])
+
+    def test_missing_config_exit_1(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.ini")
+        assert main(["run", "--config", missing, "--output-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: cannot read config file {missing!r}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_non_utf8_config_exit_1_without_traceback(self, tmp_path):
         path = tmp_path / "bad.ini"

@@ -35,6 +35,8 @@ class TestApplyUnitary:
     def test_identity_on_minus1(self):
         s = apply_unitary(QutritState.ket(-1), Operator3(np.eye(3)))
         assert np.allclose(s.amplitudes, [0, 0, 1])
+        with pytest.raises(TypeError, match="cannot apply a unitary to object"):
+            apply_unitary(object(), np.eye(3))
 
     def test_fourier_on_minus1_gives_superposition(self):
         s = apply_unitary(QutritState.ket(-1), fourier(3))
@@ -169,6 +171,8 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             DensityMatrix(np.diag([1.0, 0.0, 0.0]), "deviation")
         DensityMatrix(np.diag([1.0, 0.0, -1.0]), "deviation")  # ok
+        with pytest.raises(ValueError, match="kind must be one of"):
+            DensityMatrix(np.diag([1.0, 0.0, -1.0]), "bogus")
 
     def test_negative_eigenvalue_rejected_for_true_state(self):
         with pytest.raises(ValueError):

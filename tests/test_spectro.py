@@ -297,19 +297,23 @@ class TestExports:
 
 class TestCachedArrays:
     def test_tones_read_only(self):
-        """The basis spectra of the two tones are cached read-only, and
-        read_out's spans over them are views, not copies."""
+        """The basis spectra of the two tones are cached read-only, and so are
+        read_out's near arrays: the axis and the basis over exactly the bins
+        within one bin of a tested bin, one run of tested bins per line."""
         fid = synthesize_fid(single_coherence(), PARAMS, RELAX, n=64)
         key = *transition_frequencies(PARAMS), RELAX.t2, 64, fid.dwell
         basis = _basis(*key)
-        _, _, spans, _ = _near_lines(*key)
-        views = [view for _, span_views in spans for view in span_views]
-        assert len(views) == 8
-        for cached in basis + tuple(views):
+        axis, centre, parts = _near_lines(*key)[2]
+        freqs = _frequency_axis(64, fid.dwell)
+        tested = np.isin(freqs, axis[1:-1][centre])
+        assert np.count_nonzero(np.diff(tested, prepend=False) & tested) == 2
+        kept = np.convolve(tested, [1, 1, 1], "same") > 0
+        assert np.array_equal(axis, freqs[kept])
+        for part, whole in zip(parts, basis, strict=True):
+            assert np.array_equal(part, whole[kept])
+        for cached in basis + parts + (axis, centre):
             with pytest.raises(ValueError):
                 cached[0] = 0.0
-        for view, whole in zip(views, basis * 2):
-            assert view.base is whole
         fid.samples[0] = 0.0  # each FID owns its samples
 
     def test_frequency_axis_shared_and_read_only(self):
@@ -498,12 +502,11 @@ class TestReadLines:
     @pytest.mark.parametrize("rows", ["one", "chunk - 1", "chunk", "chunk + 1"])
     def test_chunk_boundaries(self, rows):
         """The drawn stack is sized from the chunk, so it reaches one row past
-        the first chunk whatever the spans' width."""
+        the first chunk whatever the near bins' width."""
         cfg = cli.RunConfig()
         p, r = cfg.hamiltonian(), cfg.relaxation()
         key = *check_acquisition(p, r, cfg.n, cfg.dwell_s), r.t2, cfg.n, cfg.dwell_s
-        _, _, spans, _ = _near_lines(*key)
-        width = sum(len(views[0]) for _, views in spans)  # bins built per row
+        width = len(_near_lines(*key)[2][0])  # bins built per row
         per_chunk = CHUNK_BYTES // (8 * width)  # one float64 per built bin
         assert 1 < per_chunk
         count = {"one": 1, "chunk - 1": per_chunk - 1, "chunk": per_chunk,
@@ -530,14 +533,14 @@ class TestReadLines:
 
 
 def _read_out_counting(cfg, rhos, monkeypatch, half_widths=spectro.SPAN_HALF_WIDTHS):
-    """read_out's outcomes on rhos with spans of half_widths line half-widths,
-    and the rows it built whole, over all n bins."""
+    """read_out's outcomes on rhos with peaks tested within half_widths line
+    half-widths, and the rows it built whole, over all n bins."""
     whole, build = [], spectro._build
 
-    def spy(rows, coefs, spans):
-        if len(spans[0][1][0]) == cfg.n:
+    def spy(rows, coefs, parts):
+        if len(parts[0]) == cfg.n:
             whole.extend(rows.tolist())
-        return build(rows, coefs, spans)
+        return build(rows, coefs, parts)
 
     with monkeypatch.context() as patched:
         patched.setattr(spectro, "_build", spy)
@@ -556,10 +559,11 @@ def _spectrum_re(rho, cfg):
     return spectrum(DensityMatrix(rho, "deviation"), p, r, cfg.n, cfg.dwell_s).amplitudes.real
 
 
-def _untested(spans, n, dwell):
-    """The mask of the bins that no span of _near_lines tests for a peak."""
-    tested = np.concatenate([axis for axis, _ in spans])
-    return ~np.isin(_frequency_axis(n, dwell), tested)
+def _untested(near, n, dwell):
+    """The mask of the bins that _near_lines' near = (axis, centre, parts)
+    does not test for a peak."""
+    axis, centre, _ = near
+    return ~np.isin(_frequency_axis(n, dwell), axis[1:-1][centre])
 
 
 class TestWholeRows:
@@ -585,18 +589,17 @@ class TestWholeRows:
 
     @pytest.mark.parametrize("t2_s", [0.050, 0.0005])
     def test_far_bound_holds_with_no_margin(self, t2_s):
-        """Every bin is tested by one span, in ascending order, or bounded by
-        far; far holds the basis maxima over the untested bins. _far_bound is
+        """Every bin is tested, in ascending order, or bounded by far; far
+        holds the basis maxima over the untested bins. _far_bound is
         at least every such bin's |Re| as _combine computes it, and equal to
         the largest for a row with one nonzero coefficient."""
         cfg = cli.RunConfig(t2_s=t2_s)
         p, r = cfg.hamiltonian(), cfg.relaxation()
         key = *check_acquisition(p, r, cfg.n, cfg.dwell_s), r.t2, cfg.n, cfg.dwell_s
         basis = _basis(*key)
-        _, _, spans, far = _near_lines(*key)
-        axis = np.concatenate([a for a, _ in spans])
-        assert (np.diff(axis) > 0).all()
-        untested = _untested(spans, cfg.n, cfg.dwell_s)
+        _, _, near, far = _near_lines(*key)
+        assert (np.diff(near[0]) > 0).all()
+        untested = _untested(near, cfg.n, cfg.dwell_s)
         rng = np.random.default_rng(7)
         x = rng.normal(size=(4, 64, 1)) * 10.0 ** rng.integers(-300, 300, size=(4, 64, 1))
         x[:, :4, 0] *= np.eye(4)  # row j: coefficient j alone
@@ -608,8 +611,8 @@ class TestWholeRows:
         assert (bound >= top).all()
 
     def test_short_t2_rows_are_built_whole_and_read_as_the_row_path(self, monkeypatch):
-        """At T2 = 0.5 ms each line's half-width is ~320 Hz, so the bins outside the
-        spans outweigh the bins inside them and every row is built whole."""
+        """At T2 = 0.5 ms each line's half-width is ~320 Hz, so the untested bins
+        outweigh the near ones and every row is built whole."""
         cfg, rhos, _ = seeded_sweep(5.0, 50, t2_s=0.0005, t1_s=0.01)
         readouts, whole = _read_out_counting(cfg, rhos, monkeypatch)
         assert whole == list(range(len(rhos)))
@@ -633,9 +636,9 @@ class TestWholeRows:
 
     def test_imaginary_minor_line_rows_are_built_whole_at_zero_half_widths(self, monkeypatch):
         """A real major line at nu12 and an imaginary minor one at nu23, over
-        spans of 0 half-widths. Every row's far bound is below its top, so the
-        top lies in a span, but it is past the 10% floor: the major line's
-        shoulders lie outside the spans. The minor line's Re is dispersive,
+        near bins of 0 half-widths. Every row's far bound is below its top, so
+        the top lies in a near bin, but it is past the 10% floor: the major
+        line's shoulders lie outside the near bins. The minor line's Re is dispersive,
         with no peak or one below the bound at nu23, so no row settles: all
         are built whole, and every row reads out as the row path does."""
         cfg = cli.RunConfig()

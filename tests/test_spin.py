@@ -118,6 +118,10 @@ class TestPulsePropagator:
             Pulse("somewhere", 90.0, 0.0)
         with pytest.raises(ValueError, match="angle must be finite, got nan"):
             VirtualZ(2, math.nan)  # the engine builds no Operator3 to catch it
+        with pytest.raises(ValueError, match="level must be 1, 2 or 3, got 4"):
+            VirtualZ(4, 0.0)
+        with pytest.raises(ValueError, match="lambda_q must be finite, got inf"):
+            HamiltonianParams(math.inf)
 
 
 def crush(rho: DensityMatrix) -> DensityMatrix:
@@ -227,6 +231,8 @@ class TestSerialization:
         record = {"kind": "delay", "duration_s": 1e-3}
         with pytest.raises(ValueError, match="unknown event kind 'delay'"):
             records_to_program([record])
+        with pytest.raises(TypeError, match="unknown event <object"):
+            spin.event_to_record(object())
 
     def test_magic_angle_survives_json(self):
         flip = math.degrees(math.acos(-1 / 3))
@@ -337,6 +343,10 @@ class TestRunPulseBatch:
                 own = with_flips(events, row_flips)
                 assert row.tobytes() == run_pulse_program(thermal_deviation(), own).entries.tobytes()
                 assert_near_reference(row, thermal_deviation(), own)
+        # no event touches a coherent rho0: each row is rho0's entries
+        rho0 = DensityMatrix(np.array([[0.5, 0.25j, 0], [-0.25j, 0, 0], [0, 0, -0.5]]), "deviation")
+        got = run_pulse_batch(rho0, [], np.empty((3, 0)))
+        assert got.tobytes() == np.tile(rho0.entries, (3, 1, 1)).tobytes()
 
     @pytest.mark.parametrize("flip", [np.nan, np.inf, -np.inf])
     def test_non_unitary_row_rejected(self, flip):
