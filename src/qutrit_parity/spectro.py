@@ -1,7 +1,8 @@
 """Detection pulse, FID synthesis, spectrum, parity readout.
 
-The readout, read_out, is the bins near the two lines of one spectrum owner
-(_basis, the cached transforms of the two unit damped tones) plus the
+The readout, read_out, is the bins near the two lines of the transforms of
+the two unit damped tones (_near_lines, read off each FFT; the whole cached
+transforms, _basis, only for a run those bins cannot settle) plus the
 even/odd rule (classify_lines) on the largest peak near each line. The rule
 keys on the line pattern (count, magnitude ratio, relative sign), never on
 absolute sign: the laboratory pseudopure deviation carries a negative
@@ -150,18 +151,25 @@ def _tone(nu: float, t: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.exp(np.multiply(2j * np.pi * nu, t, out=out), out=out)
 
 
+def _spectra(nu12: float, nu23: float, t2: float, n: int, dwell: float):
+    """The spectra of the unit damped tones tone12 * decay and tone23 * decay,
+    in FFT order, yielded in turn in one complex buffer; each tone's times and
+    decay are dropped before its FFT."""
+    tone = np.empty(n, complex)
+    for nu in (nu12, nu23):
+        t, decay = _times(t2, n, dwell)
+        np.multiply(_tone(nu, t, tone), decay, out=tone)
+        del t, decay
+        yield np.fft.fft(tone, out=tone)
+
+
 @functools.lru_cache(maxsize=4)
 def _basis(nu12: float, nu23: float, t2: float, n: int, dwell: float):
-    """Read-only real and imaginary parts (P12, Q12, P23, Q23) of the spectra
-    of the unit damped tones tone12 * decay and tone23 * decay, in transform's
-    bin order. Each tone is built and transformed in one buffer."""
-    t, decay = _times(t2, n, dwell)
-    tone, parts = np.empty(n, complex), []
-    for nu in (nu12, nu23):
-        np.fft.fft(np.multiply(_tone(nu, t, tone), decay, out=tone), out=tone)
-        for part in (tone.real, tone.imag):
-            parts.append(_frozen(_bin_order(part, np.empty(n))))
-    return tuple(parts)
+    """Read-only real and imaginary parts (P12, Q12, P23, Q23) of _spectra, in
+    transform's bin order: four arrays of n doubles, for spectrum() and the
+    rows read_out builds whole."""
+    return tuple(_frozen(_bin_order(part, np.empty(n)))
+                 for s in _spectra(nu12, nu23, t2, n, dwell) for part in (s.real, s.imag))
 
 
 @functools.lru_cache(maxsize=4)
@@ -177,8 +185,9 @@ def _near_lines(nu12: float, nu23: float, t2: float, n: int, dwell: float):
     the mask of the tested ones among all but the first and last, and
     read-only copies of the four _basis arrays over them. far holds max |P12|,
     |Q12|, |P23|, |Q23| over the untested bins, or 0.0 where there are none.
+    Both are read off each spectrum that _spectra yields, at the FFT indices
+    of the bins (_bin_order), so no n-sized array outlives the call.
     """
-    basis = _basis(nu12, nu23, t2, n, dwell)
     freqs = _frequency_axis(n, dwell)
     window, dnu = _line_window(nu12, nu23), float(freqs[1] - freqs[0])
     reach = min(window, SPAN_HALF_WIDTHS / (2.0 * np.pi * t2))
@@ -187,9 +196,18 @@ def _near_lines(nu12: float, nu23: float, t2: float, n: int, dwell: float):
     tested[[0, -1]] = False  # an edge bin is never a peak
     tested[1:-1] |= tested[:-2] & tested[2:]
     kept = tested | np.roll(tested, 1) | np.roll(tested, -1)  # no edge bin is tested
-    axis, centre, *parts = (_frozen(x[kept]) for x in (freqs, tested, *basis))
-    far = tuple(float(np.max(np.abs(x), where=~tested, initial=0.0)) for x in basis)
-    return window, dnu, (axis, centre[1:-1], tuple(parts)), far
+    order = _bin_order(np.arange(n), np.empty(n, int))  # each bin's FFT index
+    at, untested = order[kept], np.empty(n, bool)
+    untested[order] = ~tested
+    del order
+    parts, far = [], []
+    for s in _spectra(nu12, nu23, t2, n, dwell):
+        for part in (s.real, s.imag):
+            parts.append(_frozen(part[at]))
+            hi, lo = (f(part, where=untested, initial=0.0) for f in (np.max, np.min))
+            far.append(float(max(hi, -lo)))  # max |part|, with no n-sized |part|
+    axis, centre = _frozen(freqs[kept]), _frozen(tested[kept])
+    return window, dnu, (axis, centre[1:-1], tuple(parts)), tuple(far)
 
 
 def _combine(x12, y12, x23, y23, basis, out: np.ndarray) -> np.ndarray:
@@ -290,8 +308,8 @@ def read_out(rhos: np.ndarray, p: HamiltonianParams, r: RelaxationParams,
     reading is its whole spectrum's when B < PEAK_THRESHOLD * top (no
     untested bin peaks) or both lines' |Re| exceed B (no untested bin
     outweighs them; both are then peaks, and B < top, as a line is the Re of
-    a near bin). Every other row is built over all n bins and read by the
-    same _read_peaks.
+    a near bin). Every other row is built over all n bins, from _basis,
+    which is built only then, and read by the same _read_peaks.
     """
     nu12, nu23 = check_acquisition(p, r, n, dwell)
     window, dnu, (axis, centre, parts), far = _near_lines(nu12, nu23, r.t2, n, dwell)
@@ -306,9 +324,11 @@ def read_out(rhos: np.ndarray, p: HamiltonianParams, r: RelaxationParams,
         bound = _far_bound(*x, far)
         settled[i] = ((bound < PEAK_THRESHOLD * top[i])
                       | (np.abs(lines[:, i]) > bound).all(axis=0))
-    axis, basis = _frequency_axis(n, dwell), _basis(nu12, nu23, r.t2, n, dwell)
-    for i, _, re in _build(np.flatnonzero(~settled), coefs, basis):
-        lines[:, i], top[i], found[i] = read(axis, True, re)
+    whole = np.flatnonzero(~settled)
+    if len(whole):
+        axis, basis = _frequency_axis(n, dwell), _basis(nu12, nu23, r.t2, n, dwell)
+        for i, _, re in _build(whole, coefs, basis):
+            lines[:, i], top[i], found[i] = read(axis, True, re)
     code, confidence = classify_lines(*lines)
     code[~found] = np.where(top[~found] > 0.0, NO_PEAKS, NO_SIGNAL)
     return lines[0], lines[1], confidence, code

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qutrit_parity.core import (
+    ENTRY_TOL,
     DensityMatrix,
     NonUnitaryError,
     NormalizationError,
@@ -171,6 +172,9 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             DensityMatrix(np.diag([1.0, 0.0, 0.0]), "deviation")
         DensityMatrix(np.diag([1.0, 0.0, -1.0]), "deviation")  # ok
+        with pytest.raises(ValueError, match="deviation trace is"):
+            DensityMatrix(np.diag([2 * ENTRY_TOL, 0.0, 0.0]), "deviation")
+        DensityMatrix(np.diag([0.5 * ENTRY_TOL, 0.0, 0.0]), "deviation")  # within the tolerance
         with pytest.raises(ValueError, match="kind must be one of"):
             DensityMatrix(np.diag([1.0, 0.0, -1.0]), "bogus")
 

@@ -296,25 +296,55 @@ class TestExports:
 
 
 class TestCachedArrays:
-    def test_tones_read_only(self):
+    @pytest.mark.parametrize("t2", [0.050, 0.0005])
+    @pytest.mark.parametrize("n", [64, 4096, 65536])
+    def test_tones_read_only(self, n, t2):
         """The basis spectra of the two tones are cached read-only, and so are
-        read_out's near arrays: the axis and the basis over exactly the bins
-        within one bin of a tested bin, one run of tested bins per line."""
-        fid = synthesize_fid(single_coherence(), PARAMS, RELAX, n=64)
-        key = *transition_frequencies(PARAMS), RELAX.t2, 64, fid.dwell
+        read_out's near arrays: the axis and, bit for bit, the basis over
+        exactly the bins within one bin of a tested bin, one run of tested
+        bins per line."""
+        fid = synthesize_fid(single_coherence(), PARAMS, RELAX, n=n)
+        key = *transition_frequencies(PARAMS), t2, n, fid.dwell
         basis = _basis(*key)
         axis, centre, parts = _near_lines(*key)[2]
-        freqs = _frequency_axis(64, fid.dwell)
+        freqs = _frequency_axis(n, fid.dwell)
         tested = np.isin(freqs, axis[1:-1][centre])
         assert np.count_nonzero(np.diff(tested, prepend=False) & tested) == 2
         kept = np.convolve(tested, [1, 1, 1], "same") > 0
         assert np.array_equal(axis, freqs[kept])
         for part, whole in zip(parts, basis, strict=True):
-            assert np.array_equal(part, whole[kept])
+            assert part.tobytes() == whole[kept].tobytes()
         for cached in basis + parts + (axis, centre):
             with pytest.raises(ValueError):
                 cached[0] = 0.0
         fid.samples[0] = 0.0  # each FID owns its samples
+
+    def test_edge_bins_are_never_tested(self):
+        """Lines at +-1350 Hz in a +-2000 Hz window of 64 bins, at T2 = 0.5 ms:
+        the line radius, 800 Hz, reaches past both edge bins. They are kept
+        only as the neighbours of tested bins, and far covers them."""
+        p, r, n = HamiltonianParams(lambda_q=2 * np.pi * 450.0), RelaxationParams(0.01, 0.0005), 64
+        key = *check_acquisition(p, r, n, DEFAULT_DWELL), r.t2, n, DEFAULT_DWELL
+        _, _, near, far = _near_lines(*key)
+        freqs, untested = _frequency_axis(n, DEFAULT_DWELL), _untested(near, n, DEFAULT_DWELL)
+        assert untested[[0, -1]].all() and not untested[[1, -2]].any()
+        assert near[0][0] == freqs[0] and near[0][-1] == freqs[-1]
+        assert far == tuple(np.max(np.abs(b), where=untested, initial=0.0)
+                            for b in _basis(*key))
+
+    def test_a_bin_between_two_tested_bins_is_tested(self):
+        """At Lambda = 1.6 Hz the lines sit 9.6 Hz apart, and the bins within
+        the line radius of either leave only the 0 Hz bin between them. It is
+        tested too, so the tested bins form one run, and the readout is the
+        row path's."""
+        cfg = cli.RunConfig(lambda_q_hz=1.6)
+        p, r = cfg.hamiltonian(), cfg.relaxation()
+        key = *check_acquisition(p, r, cfg.n, cfg.dwell_s), r.t2, cfg.n, cfg.dwell_s
+        tested = ~_untested(_near_lines(*key)[2], cfg.n, cfg.dwell_s)
+        assert not (tested[:-2] & ~tested[1:-1] & tested[2:]).any()
+        assert tested[_frequency_axis(cfg.n, cfg.dwell_s) == 0.0].all()
+        assert np.count_nonzero(np.diff(tested, prepend=False) & tested) == 1
+        assert_batch_matches_rows(*seeded_sweep(5.0, 4, lambda_q_hz=1.6)[:2])
 
     def test_frequency_axis_shared_and_read_only(self):
         fid = synthesize_fid(single_coherence(), PARAMS, RELAX, n=64)
@@ -415,6 +445,26 @@ class TestInPlaceAcquisition:
         n = 65536
         key = *check_acquisition(PARAMS, RELAX, n, DEFAULT_DWELL), RELAX.t2, n, DEFAULT_DWELL
         assert _traced_peak(_basis.__wrapped__, *key) <= 2.5 * 4 * 8 * n
+
+    def test_near_lines_scratch_is_bounded(self):
+        """The near-line tables at n = 65536 peak within 2.5 MiB and hold no
+        n-sized array once they are built (measured 2.34 MiB and 0.04 MiB:
+        one tone, its times and decay, and the bin masks; building the whole
+        basis first, 4.00 MiB, and 2.00 MiB held). No basis is cached, and
+        the shared frequency axis is cached beforehand."""
+        n = 65536
+        key = *check_acquisition(PARAMS, RELAX, n, DEFAULT_DWELL), RELAX.t2, n, DEFAULT_DWELL
+        _basis.cache_clear()
+        _frequency_axis(n, DEFAULT_DWELL)
+        tracemalloc.start()
+        try:
+            near = _near_lines.__wrapped__(*key)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(near[2][0]) < n
+        assert peak <= 2.5 * 2**20
+        assert held < 0.1 * 2**20
 
     @pytest.mark.parametrize("export", [fid_rows, spectrum_rows])
     def test_export_scratch_is_bounded(self, export):
@@ -588,12 +638,13 @@ class TestWholeRows:
             assert (bound >= PEAK_THRESHOLD * top).any()
 
     @pytest.mark.parametrize("t2_s", [0.050, 0.0005])
-    def test_far_bound_holds_with_no_margin(self, t2_s):
+    @pytest.mark.parametrize("n", [64, 4096, 65536])
+    def test_far_bound_holds_with_no_margin(self, n, t2_s):
         """Every bin is tested, in ascending order, or bounded by far; far
         holds the basis maxima over the untested bins. _far_bound is
         at least every such bin's |Re| as _combine computes it, and equal to
         the largest for a row with one nonzero coefficient."""
-        cfg = cli.RunConfig(t2_s=t2_s)
+        cfg = cli.RunConfig(t2_s=t2_s, n=n)
         p, r = cfg.hamiltonian(), cfg.relaxation()
         key = *check_acquisition(p, r, cfg.n, cfg.dwell_s), r.t2, cfg.n, cfg.dwell_s
         basis = _basis(*key)
@@ -604,11 +655,37 @@ class TestWholeRows:
         x = rng.normal(size=(4, 64, 1)) * 10.0 ** rng.integers(-300, 300, size=(4, 64, 1))
         x[:, :4, 0] *= np.eye(4)  # row j: coefficient j alone
         re = _combine(*x, basis, np.empty((64, cfg.n)))
-        assert far == tuple(np.abs(b[untested]).max(initial=0.0) for b in basis)
-        top = np.abs(re[:, untested]).max(axis=1, initial=0.0)
+        mag = np.abs(re, out=re)
+        assert far == tuple(np.max(np.abs(b), where=untested, initial=0.0) for b in basis)
+        top = np.max(mag, axis=1, where=untested, initial=0.0)
         bound = _far_bound(*x, far)
         assert np.array_equal(bound[:4], top[:4])
         assert (bound >= top).all()
+
+    @pytest.mark.parametrize("stack, calls", [("mc-noisy", 0), ("mc-hires", 0), ("short T2", 1)])
+    def test_basis_is_built_only_for_unsettled_rows(self, stack, calls, monkeypatch):
+        """read_out reads its near-line tables off each tone's FFT, and builds
+        the whole basis only when some row is unsettled: never for the noisy
+        sweeps of 6 x 200 rows at n = 4096 and 6 x 60 at n = 65536, and once
+        for a stack at T2 = 0.5 ms, whose rows are all built whole."""
+        fields = {"mc-noisy": {}, "mc-hires": {"n": 65536},
+                  "short T2": {"t2_s": 0.0005, "t1_s": 0.01}}[stack]
+        cfg, rhos, _ = seeded_sweep(5.0, {"mc-noisy": 200, "mc-hires": 60}.get(stack, 20),
+                                    **fields)
+        counted, basis = [], spectro._basis
+
+        def spy(*key):
+            counted.append(key)
+            return basis(*key)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(spectro, "_basis", spy)
+            _near_lines.cache_clear()
+            try:
+                read_out(rhos, cfg.hamiltonian(), cfg.relaxation(), cfg.n, cfg.dwell_s)
+            finally:
+                _near_lines.cache_clear()
+        assert len(counted) == calls
 
     def test_short_t2_rows_are_built_whole_and_read_as_the_row_path(self, monkeypatch):
         """At T2 = 0.5 ms each line's half-width is ~320 Hz, so the untested bins
