@@ -150,6 +150,22 @@ def _write_files(directory: str, files: dict):
             os.replace(os.path.join(staging, name), os.path.join(directory, name))
 
 
+def _export(rows, build, *args):
+    """rows(build(*args)), built when its first part is asked for, so that the
+    built data lives only while its file is written."""
+    yield from rows(build(*args))
+
+
+def _say(text: str):
+    """Print text to stdout. A reader that closed its end does not change the
+    command's exit code: stdout is pointed at devnull, as Python's notes on
+    SIGPIPE advise, so neither this print nor the flush at exit raises."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _json(obj) -> list:
     import json  # here, so that a sweep never loads it
 
@@ -234,14 +250,16 @@ def cmd_run(cfg: RunConfig) -> int:
         record["readout"] = readout
         record["verdict"] = VERDICTS[code]
         files = {"pulse_program.json": _json(record["pulse_program"]),
-                 "fid.txt": spectro.fid_rows(spectro.synthesize_fid(detected, *acquisition)),
-                 "spectrum.txt": spectro.spectrum_rows(spectro.spectrum(detected, *acquisition)),
+                 "fid.txt": _export(spectro.fid_rows, spectro.synthesize_fid,
+                                    detected, *acquisition),
+                 "spectrum.txt": _export(spectro.spectrum_rows, spectro.spectrum,
+                                         detected, *acquisition),
                  "readout.json": _json(readout)}
         summary = f"line12 {line12:+.6g}, line23 {line23:+.6g}"
 
     files["run_record.json"] = _json(record)
     _write_files(cfg.output_dir, files)
-    print(f"{name_of(perm)}: verdict {record['verdict']} ({summary})")
+    _say(f"{name_of(perm)}: verdict {record['verdict']} ({summary})")
     print(f"wall time {time.monotonic() - started:.3f} s", file=sys.stderr)
     return 0
 
@@ -283,7 +301,7 @@ def cmd_sweep(cfg: RunConfig, repetitions: int = 1) -> int:
         yield f"# accuracy = {correct}/{total} = {correct / total!r}\n"
 
     _write_files(cfg.output_dir, {"sweep.tsv": rows()})
-    print(f"accuracy {correct}/{total} = {correct / total:.3f}")
+    _say(f"accuracy {correct}/{total} = {correct / total:.3f}")
     return 0 if correct == total else 2
 
 
@@ -292,7 +310,7 @@ def cmd_compile(gate: str, output_dir: str) -> int:
     record = seq.to_record()
     record["worst_entry"] = seq.worst_entry
     _write_files(output_dir, {f"{gate}_sequence.json": _json(record)})
-    print(f"{gate}: fidelity {seq.fidelity:.12f}, phase_exact {seq.phase_exact}")
+    _say(f"{gate}: fidelity {seq.fidelity:.12f}, phase_exact {seq.phase_exact}")
     return 0
 
 

@@ -52,7 +52,7 @@ SPAN_HALF_WIDTHS = 4.0
 EVEN, ODD, NEITHER, NO_SIGNAL, NO_PEAKS = range(5)
 
 #: the text exports format and yield this many rows at a time
-EXPORT_BLOCK = 4096
+EXPORT_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -166,8 +166,8 @@ def _spectra(nu12: float, nu23: float, t2: float, n: int, dwell: float):
 @functools.lru_cache(maxsize=4)
 def _basis(nu12: float, nu23: float, t2: float, n: int, dwell: float):
     """Read-only real and imaginary parts (P12, Q12, P23, Q23) of _spectra, in
-    transform's bin order: four arrays of n doubles, for spectrum() and the
-    rows read_out builds whole."""
+    transform's bin order: four arrays of n doubles, for the rows read_out
+    builds whole."""
     return tuple(_frozen(_bin_order(part, np.empty(n)))
                  for s in _spectra(nu12, nu23, t2, n, dwell) for part in (s.real, s.imag))
 
@@ -180,9 +180,8 @@ def _near_lines(nu12: float, nu23: float, t2: float, n: int, dwell: float):
     window + 2 dnu of a line, less the two edge bins, can hold that line.
     read_out tests for peaks the bins within reach + 2 dnu of either line,
     reach = min(window, SPAN_HALF_WIDTHS / (2 pi T2)), less the edge bins,
-    and any bin between two tested ones. near = (axis, centre, parts) holds
-    every tested bin and its two neighbours, in ascending order: their axis,
-    the mask of the tested ones among all but the first and last, and
+    and any bin between two tested ones. near = (axis, parts) holds every
+    tested bin and its two neighbours, in ascending order: their axis and
     read-only copies of the four _basis arrays over them. far holds max |P12|,
     |Q12|, |P23|, |Q23| over the untested bins, or 0.0 where there are none.
     Both are read off each spectrum that _spectra yields, at the FFT indices
@@ -206,8 +205,7 @@ def _near_lines(nu12: float, nu23: float, t2: float, n: int, dwell: float):
             parts.append(_frozen(part[at]))
             hi, lo = (f(part, where=untested, initial=0.0) for f in (np.max, np.min))
             far.append(float(max(hi, -lo)))  # max |part|, with no n-sized |part|
-    axis, centre = _frozen(freqs[kept]), _frozen(tested[kept])
-    return window, dnu, (axis, centre[1:-1], tuple(parts)), tuple(far)
+    return window, dnu, (_frozen(freqs[kept]), tuple(parts)), tuple(far)
 
 
 def _combine(x12, y12, x23, y23, basis, out: np.ndarray) -> np.ndarray:
@@ -239,14 +237,22 @@ def _far_bound(x12, y12, x23, y23, far) -> np.ndarray:
 def spectrum(rho: DensityMatrix, p: HamiltonianParams, r: RelaxationParams,
              n: int = DEFAULT_POINTS, dwell: float = DEFAULT_DWELL) -> Spectrum:
     """The spectrum that read_out reads: c12 S12 + c23 S23, with S12 and S23
-    the cached transforms of the two unit damped tones. It equals
-    transform(synthesize_fid(rho)) up to rounding, as the DFT is linear."""
-    basis = _basis(*check_acquisition(p, r, n, dwell), r.t2, n, dwell)
-    c12, c23 = _coherences(rho.entries[None])
+    the spectra of the two unit damped tones, summed as _spectra yields them
+    in _combine's order of operations for each bin, then put in bin order
+    once. It equals transform(synthesize_fid(rho)) up to rounding, as the
+    DFT is linear."""
+    nu12, nu23 = check_acquisition(p, r, n, dwell)
     amps = np.empty((1, n), complex)
-    _combine(c12.real, c12.imag, c23.real, c23.imag, basis, amps.real)
-    _combine(c12.imag, -c12.real, c23.imag, -c23.real, basis, amps.imag)
-    return Spectrum(_frequency_axis(n, dwell), amps[0])
+    tones = zip(_spectra(nu12, nu23, r.t2, n, dwell), _coherences(rho.entries[None]))
+    for k, (s, c) in enumerate(tones):
+        for out, x, y in ((amps.real, c.real, c.imag), (amps.imag, c.imag, -c.real)):
+            if k:
+                out += x * s.real
+            else:
+                np.multiply(x, s.real, out=out)
+            out -= y * s.imag
+    del s  # the tone buffer
+    return Spectrum(_frequency_axis(n, dwell), _bin_order(amps[0], np.empty(n, complex)))
 
 
 def transform(fid: FID) -> Spectrum:
@@ -312,7 +318,7 @@ def read_out(rhos: np.ndarray, p: HamiltonianParams, r: RelaxationParams,
     which is built only then, and read by the same _read_peaks.
     """
     nu12, nu23 = check_acquisition(p, r, n, dwell)
-    window, dnu, (axis, centre, parts), far = _near_lines(nu12, nu23, r.t2, n, dwell)
+    window, dnu, (axis, parts), far = _near_lines(nu12, nu23, r.t2, n, dwell)
     total = len(rhos)
     lines, top = np.zeros((2, total)), np.zeros(total)  # line12, line23
     found, settled = np.zeros(total, bool), np.zeros(total, bool)
@@ -320,7 +326,7 @@ def read_out(rhos: np.ndarray, p: HamiltonianParams, r: RelaxationParams,
     coefs = c12.real, c12.imag, c23.real, c23.imag
     read = functools.partial(_read_peaks, (nu12, nu23), window, dnu)
     for i, x, re in _build(np.arange(total), coefs, parts):
-        lines[:, i], top[i], found[i] = read(axis, centre, re)
+        lines[:, i], top[i], found[i] = read(axis, re)
         bound = _far_bound(*x, far)
         settled[i] = ((bound < PEAK_THRESHOLD * top[i])
                       | (np.abs(lines[:, i]) > bound).all(axis=0))
@@ -328,7 +334,7 @@ def read_out(rhos: np.ndarray, p: HamiltonianParams, r: RelaxationParams,
     if len(whole):
         axis, basis = _frequency_axis(n, dwell), _basis(nu12, nu23, r.t2, n, dwell)
         for i, _, re in _build(whole, coefs, basis):
-            lines[:, i], top[i], found[i] = read(axis, True, re)
+            lines[:, i], top[i], found[i] = read(axis, re)
     code, confidence = classify_lines(*lines)
     code[~found] = np.where(top[~found] > 0.0, NO_PEAKS, NO_SIGNAL)
     return lines[0], lines[1], confidence, code
@@ -346,16 +352,21 @@ def _build(rows: np.ndarray, coefs, parts):
         yield i, x, _combine(*x, parts, buf[:len(i)])
 
 
-def _read_peaks(nus, window: float, dnu: float, axis, centre, re):
+def _read_peaks(nus, window: float, dnu: float, axis, re):
     """(lines, top, found) of the rows of re, their Re over the ascending axis:
-    each row's top |Re|, whether a bin that centre (a mask over all bins but
-    the first and last, or True) tests peaks over the floor PEAK_THRESHOLD *
-    top, and the (2, rows) Re of the largest-|Re| such peak within window of
-    each line of nus, the lowest if tied, or 0.0."""
+    each row's top |Re|, whether a bin but the first and last peaks over the
+    floor PEAK_THRESHOLD * top, and the (2, rows) Re of the largest-|Re| such
+    peak within window of each line of nus, the lowest if tied, or 0.0.
+
+    Over the near-line bins, a kept bin that read_out does not test may peak
+    here as well, but it changes no outcome: its |Re| <= B, the far bound,
+    so a peak there is over the floor only if B is, and it displaces a line
+    only if that line's |Re| <= B. It can neither settle a row nor displace
+    a settled row's line; its row is read again whole."""
     mag = np.abs(re)
     top = mag.max(axis=1, initial=0.0)
     floor = (PEAK_THRESHOLD * top)[:, None]
-    at = np.flatnonzero(_is_peak(mag[:, :-2], mag[:, 1:-1], mag[:, 2:], floor) & centre)
+    at = np.flatnonzero(_is_peak(mag[:, :-2], mag[:, 1:-1], mag[:, 2:], floor))
     row, col = np.divmod(at, mag.shape[1] - 2)
     found = np.bincount(row, minlength=len(re)) > 0
     at += 2 * row + 1  # each peak's flat index into mag and re

@@ -306,15 +306,14 @@ class TestCachedArrays:
         fid = synthesize_fid(single_coherence(), PARAMS, RELAX, n=n)
         key = *transition_frequencies(PARAMS), t2, n, fid.dwell
         basis = _basis(*key)
-        axis, centre, parts = _near_lines(*key)[2]
-        freqs = _frequency_axis(n, fid.dwell)
-        tested = np.isin(freqs, axis[1:-1][centre])
+        axis, parts = _near_lines(*key)[2]
+        freqs, tested = _frequency_axis(n, fid.dwell), _tested(key)
         assert np.count_nonzero(np.diff(tested, prepend=False) & tested) == 2
         kept = np.convolve(tested, [1, 1, 1], "same") > 0
         assert np.array_equal(axis, freqs[kept])
         for part, whole in zip(parts, basis, strict=True):
             assert part.tobytes() == whole[kept].tobytes()
-        for cached in basis + parts + (axis, centre):
+        for cached in basis + parts + (axis,):
             with pytest.raises(ValueError):
                 cached[0] = 0.0
         fid.samples[0] = 0.0  # each FID owns its samples
@@ -326,7 +325,7 @@ class TestCachedArrays:
         p, r, n = HamiltonianParams(lambda_q=2 * np.pi * 450.0), RelaxationParams(0.01, 0.0005), 64
         key = *check_acquisition(p, r, n, DEFAULT_DWELL), r.t2, n, DEFAULT_DWELL
         _, _, near, far = _near_lines(*key)
-        freqs, untested = _frequency_axis(n, DEFAULT_DWELL), _untested(near, n, DEFAULT_DWELL)
+        freqs, untested = _frequency_axis(n, DEFAULT_DWELL), ~_tested(key)
         assert untested[[0, -1]].all() and not untested[[1, -2]].any()
         assert near[0][0] == freqs[0] and near[0][-1] == freqs[-1]
         assert far == tuple(np.max(np.abs(b), where=untested, initial=0.0)
@@ -336,14 +335,16 @@ class TestCachedArrays:
         """At Lambda = 1.6 Hz the lines sit 9.6 Hz apart, and the bins within
         the line radius of either leave only the 0 Hz bin between them. It is
         tested too, so the tested bins form one run, and the readout is the
-        row path's."""
+        row path's; far covers exactly the other bins."""
         cfg = cli.RunConfig(lambda_q_hz=1.6)
         p, r = cfg.hamiltonian(), cfg.relaxation()
         key = *check_acquisition(p, r, cfg.n, cfg.dwell_s), r.t2, cfg.n, cfg.dwell_s
-        tested = ~_untested(_near_lines(*key)[2], cfg.n, cfg.dwell_s)
+        tested = _tested(key)
         assert not (tested[:-2] & ~tested[1:-1] & tested[2:]).any()
         assert tested[_frequency_axis(cfg.n, cfg.dwell_s) == 0.0].all()
         assert np.count_nonzero(np.diff(tested, prepend=False) & tested) == 1
+        assert _near_lines(*key)[3] == tuple(np.max(np.abs(b), where=~tested, initial=0.0)
+                                             for b in _basis(*key))
         assert_batch_matches_rows(*seeded_sweep(5.0, 4, lambda_q_hz=1.6)[:2])
 
     def test_frequency_axis_shared_and_read_only(self):
@@ -421,6 +422,12 @@ class TestInPlaceAcquisition:
         for built, want in zip(_basis.__wrapped__(*key), basis, strict=True):
             assert built.tobytes() == want.tobytes()
         assert _frequency_axis(n, DEFAULT_DWELL).tobytes() == freqs.tobytes()
+        # spectrum() sums per tone in _combine's order: _combine over the whole basis
+        c12, c23 = _coherences(self.RHO.entries[None])
+        amps = np.empty((1, n), complex)
+        _combine(c12.real, c12.imag, c23.real, c23.imag, basis, amps.real)
+        _combine(c12.imag, -c12.real, c23.imag, -c23.real, basis, amps.imag)
+        assert spectrum(self.RHO, PARAMS, RELAX, n).amplitudes.tobytes() == amps[0].tobytes()
         fid = synthesize_fid(self.RHO, PARAMS, RELAX, n)
         assert fid.samples.tobytes() == samples.tobytes()
         s = transform(fid)
@@ -439,9 +446,10 @@ class TestInPlaceAcquisition:
 
     def test_basis_scratch_is_bounded(self):
         """Building the basis at n = 65536 peaks within 2.5 times its four
-        arrays of n doubles, 2 MiB (measured 4.00 MiB: the basis, the times, the
-        decay and one tone; holding the three tones, the FFT, its roll and the
-        part copies at once, 7.51 MiB)."""
+        arrays of n doubles, 2 MiB (measured 3.13 MiB: the basis, one tone, its
+        times and decay; keeping the times and decay across both tones, 4.00
+        MiB; holding the three tones, the FFT, its roll and the part copies at
+        once, 7.51 MiB)."""
         n = 65536
         key = *check_acquisition(PARAMS, RELAX, n, DEFAULT_DWELL), RELAX.t2, n, DEFAULT_DWELL
         assert _traced_peak(_basis.__wrapped__, *key) <= 2.5 * 4 * 8 * n
@@ -466,13 +474,31 @@ class TestInPlaceAcquisition:
         assert peak <= 2.5 * 2**20
         assert held < 0.1 * 2**20
 
+    def test_spectrum_scratch_is_bounded(self):
+        """spectrum() at n = 65536 peaks within 3.25 times its own n complex
+        amplitudes, 1 MiB, and holds only them (measured 3.13 MiB: the sum, one
+        tone, its times and decay). Summed over the cached whole basis, it
+        peaked at 3.50 MiB and held the basis's 2 MiB as well. The shared
+        frequency axis is cached beforehand."""
+        n = 65536
+        _basis.cache_clear()
+        _frequency_axis(n, DEFAULT_DWELL)
+        tracemalloc.start()
+        try:
+            s = spectrum(self.RHO, PARAMS, RELAX, n)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.25 * s.amplitudes.nbytes
+        assert held < 1.1 * s.amplitudes.nbytes
+
     @pytest.mark.parametrize("export", [fid_rows, spectrum_rows])
     def test_export_scratch_is_bounded(self, export):
-        """An export at n = 2^17, joined, peaks within 2.5 times its text
-        (measured 2.0 times: the blocks' text and the joined text; with one
-        list of all line strings, 4.0 times for the FID and 3.75 times for the
-        spectrum)."""
-        fid = synthesize_fid(self.RHO, PARAMS, RELAX, n=2**17)
+        """An export of two blocks, n = 1024, joined, peaks within 2.5 times
+        its text (measured 2.08 times for the FID and 2.04 times for the
+        spectrum: the blocks' text and the joined text; with one list of all
+        line strings, 3.14 and 2.88 times)."""
+        fid = synthesize_fid(self.RHO, PARAMS, RELAX, n=2 * spectro.EXPORT_BLOCK)
         data = fid if export is fid_rows else transform(fid)
 
         def text(data):
@@ -609,11 +635,19 @@ def _spectrum_re(rho, cfg):
     return spectrum(DensityMatrix(rho, "deviation"), p, r, cfg.n, cfg.dwell_s).amplitudes.real
 
 
-def _untested(near, n, dwell):
-    """The mask of the bins that _near_lines' near = (axis, centre, parts)
-    does not test for a peak."""
-    axis, centre, _ = near
-    return ~np.isin(_frequency_axis(n, dwell), axis[1:-1][centre])
+def _tested(key):
+    """The mask of the bins that _near_lines(*key) tests for a peak, by the rule
+    of its docstring: the bins within min(window, SPAN_HALF_WIDTHS / (2 pi T2))
+    + 2 dnu of either line but the two edge bins, and each bin between two
+    of those."""
+    nu12, nu23, t2, n, dwell = key
+    window, dnu = _near_lines(*key)[:2]
+    radius = min(window, spectro.SPAN_HALF_WIDTHS / (2.0 * np.pi * t2)) + 2.0 * dnu
+    freqs = _frequency_axis(n, dwell)
+    tested = (np.abs(freqs - nu12) <= radius) | (np.abs(freqs - nu23) <= radius)
+    tested[0] = tested[-1] = False
+    tested[np.flatnonzero(tested[:-2] & tested[2:]) + 1] = True
+    return tested
 
 
 class TestWholeRows:
@@ -650,7 +684,7 @@ class TestWholeRows:
         basis = _basis(*key)
         _, _, near, far = _near_lines(*key)
         assert (np.diff(near[0]) > 0).all()
-        untested = _untested(near, cfg.n, cfg.dwell_s)
+        untested = ~_tested(key)
         rng = np.random.default_rng(7)
         x = rng.normal(size=(4, 64, 1)) * 10.0 ** rng.integers(-300, 300, size=(4, 64, 1))
         x[:, :4, 0] *= np.eye(4)  # row j: coefficient j alone
@@ -686,6 +720,25 @@ class TestWholeRows:
             finally:
                 _near_lines.cache_clear()
         assert len(counted) == calls
+
+    @pytest.mark.parametrize("caller", ["spectrum", "run"])
+    def test_spectrum_never_builds_the_basis(self, caller, tmp_path, monkeypatch):
+        """spectrum() sums each tone's spectrum as _spectra yields it, so
+        neither it nor a whole run at T2 = 50 ms, which writes spectrum.txt,
+        builds the whole basis."""
+        counted, basis = [], spectro._basis
+
+        def spy(*key):
+            counted.append(key)
+            return basis(*key)
+
+        monkeypatch.setattr(spectro, "_basis", spy)
+        if caller == "spectrum":
+            spectrum(single_coherence(c23=0.3 - 0.7j, c12=0.2j), PARAMS, RELAX, n=4096)
+        else:
+            assert cli.main(["run", "--output-dir", str(tmp_path)]) == 0
+            assert (tmp_path / "spectrum.txt").stat().st_size > 0
+        assert counted == []
 
     def test_short_t2_rows_are_built_whole_and_read_as_the_row_path(self, monkeypatch):
         """At T2 = 0.5 ms each line's half-width is ~320 Hz, so the untested bins
